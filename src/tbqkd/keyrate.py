@@ -280,7 +280,7 @@ def keyrate(
     )
     skl, lam_ec = secret_key_length(bounds, phi, t, sec)
     q_z = qber_z(t) if t.n_z > 0 else 0.0
-    q_x = qber_x(t.fringe_max_counts, t.fringe_min_counts) if t.n_x > t.m_x else 0.0
+    q_x = qber_x(t.fringe_max_counts, t.fringe_min_counts) if t.n_x > 0 else 0.0
     return KeyRateReport(
         s_z0_lower=bounds.s_z0_lower,
         s_z1_lower=bounds.s_z1_lower,

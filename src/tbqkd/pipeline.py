@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,24 +85,32 @@ def batch_engine_applicable(scenario: ScenarioConfig) -> bool:
     return scenario.schedule().dead_time_safe and _burst_covering(scenario)
 
 
-def _theta_walk(scenario: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Drift walk per burst, reset to 0 at each stabilization window."""
+def _theta_walk(
+    scenario: ScenarioConfig, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Drift walk per burst, reset to 0 at each stabilization window,
+    yielded in CHUNK_BURSTS pieces. The normal draws and the running sum
+    carried across pieces are those of one whole-run walk, so memory
+    stays flat in duration while the realization does not change."""
     n = scenario.n_bursts
     sigma = scenario.interferometer.drift_sigma
-    if sigma == 0.0:
-        return np.zeros(n)
     step = sigma * math.sqrt(scenario.plan.burst_period)
-    walk = np.empty(n)
-    starts = [int(s) for s in servo_starts(scenario)]
-    if not starts or starts[0] != 0:
-        starts = [0] + starts
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        if hi <= lo:
+    resets = servo_starts(scenario)
+    carry = 0.0
+    for lo in range(0, n, CHUNK_BURSTS):
+        hi = min(lo + CHUNK_BURSTS, n)
+        if sigma == 0.0:
+            yield np.zeros(hi - lo)
             continue
-        seg = rng.normal(0.0, step, hi - lo)
-        seg[0] = 0.0
-        walk[lo:hi] = np.cumsum(seg)
-    return walk
+        steps = rng.normal(0.0, step, hi - lo)
+        steps[0] += carry
+        cuts = resets[(resets >= lo) & (resets < hi)] - lo
+        steps[cuts] = 0.0
+        walk = np.empty(hi - lo)
+        for a, b in zip([0, *cuts], [*cuts, hi - lo]):
+            walk[a:b] = np.cumsum(steps[a:b])
+        carry = walk[-1]
+        yield walk
 
 
 def _attribute_bins(
@@ -187,7 +196,7 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     root = np.random.default_rng(scenario.seed)
     n_chunks = (n_bursts + CHUNK_BURSTS - 1) // CHUNK_BURSTS
     theta_rng, *chunk_rngs = root.spawn(1 + n_chunks)
-    walk = _theta_walk(scenario, theta_rng)
+    walks = _theta_walk(scenario, theta_rng)
 
     cum_priors = np.cumsum(model.priors)
     cum_priors[-1] = 1.0
@@ -196,26 +205,27 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
 
     acc = _Accumulator()
     eligible_total = 0
+    # one buffer takes each chunk's three per-slot uniform draws in turn,
+    # so that the allocator does not map and unmap them chunk by chunk
+    u_buf = np.empty((min(CHUNK_BURSTS, n_bursts), slots))
 
-    for chunk, rng in enumerate(chunk_rngs):
+    for chunk, (rng, walk) in enumerate(zip(chunk_rngs, walks)):
         lo = chunk * CHUNK_BURSTS
         hi = min(lo + CHUNK_BURSTS, n_bursts)
         idx = np.arange(lo, hi, dtype=np.int64)
         nb = idx.size
         eligible = ~servo_excluded(scenario, idx)
         parity = burst_parity(idx, block)
-        cos_b = np.cos(math.pi * parity + walk[lo:hi])
+        cos_b = np.cos(math.pi * parity + walk)
 
         # fixed draw order per chunk: classes, Z dice, X dice, then
         # attribution uniforms for the bursts that clicked
-        u_cls = rng.random((nb, slots))
-        cls = np.searchsorted(cum_priors, u_cls, side="right").astype(np.int64)
-        u_z = rng.random((nb, slots))
-        u_x = rng.random((nb, slots))
-
-        clicked_z = u_z < qz_any[cls]
-        q_x = 1.0 - kx[cls] * np.exp(-eta_b[cls] * cos_b[:, None])
-        clicked_x = u_x < q_x
+        u = u_buf[:nb]
+        cls = np.searchsorted(cum_priors, rng.random(out=u), side="right")
+        clicked_z = rng.random(out=u) < qz_any[cls]
+        # X-click probability per burst and class, then per slot
+        q_x = 1.0 - kx * np.exp(-eta_b * cos_b[:, None])
+        clicked_x = rng.random(out=u) < np.take_along_axis(q_x, cls, axis=1)
 
         eligible_total += int(eligible.sum())
         if eligible.any():
@@ -286,7 +296,7 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
 
     root = np.random.default_rng(scenario.seed)
     theta_rng, sym_rng, det_rng_z, det_rng_x = root.spawn(4)
-    walk = _theta_walk(scenario, theta_rng)
+    walk = np.concatenate(list(_theta_walk(scenario, theta_rng)))
     idx_all = np.arange(n_bursts, dtype=np.int64)
     excluded_mask = servo_excluded(scenario, idx_all)
     block = fringe_block_bursts(scenario)

@@ -262,8 +262,8 @@ def qber_x(fringe_max_counts: int, fringe_min_counts: int) -> float:
     Q_X = min / (min + max), i.e. (1 - V_eff)/2 for an ideal fringe."""
     if fringe_max_counts < 0 or fringe_min_counts < 0:
         raise DomainError("fringe counts must be non-negative")
-    if fringe_max_counts == 0:
-        raise EmptyTallyError("no fringe-maximum counts")
+    if fringe_max_counts + fringe_min_counts == 0:
+        raise EmptyTallyError("no X-basis counts")
     return fringe_min_counts / (fringe_min_counts + fringe_max_counts)
 
 

@@ -333,33 +333,47 @@ def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
     n_bursts = scenario.n_bursts
     interval = scenario.interferometer.stabilization_interval
     n_events = max(1, math.ceil(scenario.duration / interval))
-    starts = np.array(
-        [round(k * interval / period) for k in range(n_events)], dtype=np.int64
-    )
+    starts = np.rint(np.arange(n_events) * interval / period).astype(np.int64)
     return starts[starts < n_bursts]
 
 
 def servo_excluded(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
     """True for bursts consumed by stabilization (no key symbols)."""
     idx = np.asarray(burst_idx, dtype=np.int64)
-    out = np.zeros(idx.shape, dtype=bool)
     width = scenario.servo_bursts_per_event
     if width <= 0:
-        return out
-    for s in servo_starts(scenario):
-        out |= (idx >= s) & (idx < s + width)
-    return out
+        return np.zeros(idx.shape, dtype=bool)
+    starts = servo_starts(scenario)
+    # windows never end before an earlier one does, so the latest start
+    # at or before a burst decides whether a window covers it
+    last = np.searchsorted(starts, idx, side="right") - 1
+    return (last >= 0) & (idx < starts[np.maximum(last, 0)] + width)
 
 
-def lock_elapsed_s(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
-    """Seconds of free phase drift accumulated since the last lock."""
+def _lock_index(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
+    """Number of stabilization intervals completed before each burst."""
     t = np.asarray(burst_idx, dtype=np.float64) * scenario.plan.burst_period
+    return np.floor(t / scenario.interferometer.stabilization_interval)
+
+
+def lock_elapsed_s(scenario: ScenarioConfig, burst_pos: np.ndarray) -> np.ndarray:
+    """Seconds of free phase drift accumulated since the last lock.
+
+    `burst_pos` may be fractional (a quadrature node); the lock interval
+    is then that of the nearest burst, and the time runs on linearly.
+    A burst on a lock can come out a rounding error below zero, which
+    is clamped.
+    """
+    pos = np.asarray(burst_pos, dtype=np.float64)
     interval = scenario.interferometer.stabilization_interval
-    return t - np.floor(t / interval) * interval
+    tau = pos * scenario.plan.burst_period - _lock_index(
+        scenario, np.rint(pos)
+    ) * interval
+    return np.maximum(tau, 0.0)
 
 
 def expected_cos_theta(
-    scenario: ScenarioConfig, burst_idx: np.ndarray, spread: float = 0.0
+    scenario: ScenarioConfig, burst_pos: np.ndarray, spread: float = 0.0
 ) -> np.ndarray:
     """E[cos(theta_b)] per burst under the locked random-walk model.
 
@@ -367,12 +381,14 @@ def expected_cos_theta(
     block's lock point (0 or pi); drift then accumulates as a Brownian
     walk, so E[cos(lock + W_t)] = (+/-1) * exp(-drift_sigma^2 t / 2).
     `spread` shifts the walk coherently by that many std devs; the
-    analytic variance bound uses it as a finite difference.
+    analytic variance bound uses it as a finite difference. Fractional
+    positions take the fringe parity and lock interval of the nearest
+    burst, as in lock_elapsed_s.
     """
-    idx = np.asarray(burst_idx, dtype=np.int64)
+    pos = np.asarray(burst_pos, dtype=np.float64)
     sigma = scenario.interferometer.drift_sigma
-    tau = lock_elapsed_s(scenario, idx)
-    sign = 1.0 - 2.0 * burst_parity(idx, fringe_block_bursts(scenario))
+    tau = lock_elapsed_s(scenario, pos)
+    sign = 1.0 - 2.0 * burst_parity(np.rint(pos), fringe_block_bursts(scenario))
     damp = np.exp(-0.5 * sigma * sigma * tau)
     if spread == 0.0:
         return sign * damp
@@ -452,22 +468,127 @@ def _x_key_probs(
     return p_central, q_any
 
 
-def analytic_expected_tallies(
-    scenario: ScenarioConfig, chunk_bursts: int = 1_000_000
-) -> ExpectedTallies:
+def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eligible bursts as runs [lo, hi) of constant fringe parity and
+    lock interval, with the stabilization windows cut out.
+
+    Lock boundaries are located with the float expression that
+    lock_elapsed_s evaluates, so that every burst falls into the segment
+    whose parity and lock interval it has itself. Under fast drift the
+    runs are also cut every 1/(8 drift_sigma^2 burst_period) bursts: the
+    drift spread sigma*sqrt(tau) then grows by at most 0.35 rad, and
+    exp(-sigma^2 tau / 2) falls by at most e^-1/16, within one run.
+    """
+    n = scenario.n_bursts
+    period = scenario.plan.burst_period
+    interval = scenario.interferometer.stabilization_interval
+    width = scenario.servo_bursts_per_event
+    block = fringe_block_bursts(scenario)
+    rate = scenario.interferometer.drift_sigma ** 2 * period
+    span = min(n, max(1, int(0.125 / rate))) if rate > 0.0 else n
+    k = np.arange(1, int(_lock_index(scenario, n - 1)) + 1)
+    # the first burst of lock interval k lies within one burst of the
+    # exact quotient; count the candidates the float expression puts
+    # into an earlier interval
+    cand = np.ceil(k * interval / period).astype(np.int64)[:, None] + np.arange(-2, 3)
+    lock_starts = cand[:, 0] + (_lock_index(scenario, cand) < k[:, None]).sum(axis=1)
+    servo = servo_starts(scenario) if width > 0 else np.zeros(0, dtype=np.int64)
+    cuts = np.unique(np.concatenate((
+        [0, n],
+        np.arange(block, n, block),
+        np.arange(span, n, span),
+        lock_starts,
+        servo,
+        np.minimum(servo + width, n),
+    )))
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = ~servo_excluded(scenario, lo)
+    return lo[keep], hi[keep]
+
+
+# Quadrature of a per-burst sum over one segment [lo, hi): Gauss-Legendre
+# nodes integrate over [lo, hi - 1], and Gregory's end weights on the
+# first and last four bursts turn that integral into the sum over the
+# integer points. Near a lock the drift bound grows like sqrt(tau), which
+# no end correction follows, so the first HEAD_BURSTS bursts after a
+# lock are summed one by one; so is every segment too short to hold a
+# head and both ends.
+
+# Four-point Gauss-Legendre nodes and weights, moved from [-1, 1] to [0, 1].
+_GL_X = math.sqrt(6.0 / 5.0) * 2.0 / 7.0
+_GL_T = 0.5 + 0.5 * np.array([
+    -math.sqrt(3.0 / 7.0 + _GL_X), -math.sqrt(3.0 / 7.0 - _GL_X),
+    math.sqrt(3.0 / 7.0 - _GL_X), math.sqrt(3.0 / 7.0 + _GL_X),
+])
+_GL_W = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
+                  18.0 + math.sqrt(30.0), 18.0 - math.sqrt(30.0)]) / 72.0
+GREGORY = np.array([469.0, -177.0, 87.0, -19.0]) / 720.0
+HEAD_BURSTS = 16
+# nodes evaluated at once, which bounds memory on scenarios cut into
+# very many segments
+NODE_BATCH = 1 << 18
+
+
+def _quadrature_nodes(
+    scenario: ScenarioConfig, lo: np.ndarray, hi: np.ndarray, sqrt_tau: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Burst positions, weights, and weights restricted to fringe-minimum
+    (parity 1) segments, such that the weighted sum of any smooth
+    per-burst function f equals sum(f(b) for b in each segment [lo, hi))
+    to rounding. With sqrt_tau, the interior integral runs in
+    u = sqrt(tau) (dtau = 2u du), so f may also carry sqrt(tau) terms."""
+    period = scenario.plan.burst_period
+    n = hi - lo
+    whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
+    near_lock = lock_elapsed_s(scenario, lo) < HEAD_BURSTS * period
+    head = np.where(whole, n, np.where(near_lock, HEAD_BURSTS, 0))
+
+    # bursts summed one by one
+    offset = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
+    exact = np.repeat(lo, head) + offset
+
+    a = (lo + head)[~whole][:, None]
+    b = (hi - 1)[~whole][:, None]
+    j = np.arange(len(GREGORY))
+    ends = np.concatenate((a + j, b - j), axis=1)
+    end_w = np.broadcast_to(np.tile(GREGORY, 2), ends.shape)
+    if sqrt_tau:
+        tau_a = lock_elapsed_s(scenario, a)
+        u_a = np.sqrt(tau_a)
+        u_b = np.sqrt(lock_elapsed_s(scenario, b))
+        u = u_a + (u_b - u_a) * _GL_T
+        inner = a + (u * u - tau_a) / period
+        inner_w = (u_b - u_a) * _GL_W * 2.0 * u / period
+    else:
+        inner = a + (b - a) * _GL_T
+        inner_w = (b - a) * _GL_W
+
+    odd = burst_parity(lo, fringe_block_bursts(scenario)).astype(np.float64)
+    weight = np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel()))
+    odd_w = weight * np.concatenate((
+        np.repeat(odd, head),
+        np.repeat(odd[~whole], ends.shape[1]),
+        np.repeat(odd[~whole], len(_GL_T)),
+    ))
+    return np.concatenate((exact, ends.ravel(), inner.ravel())), weight, odd_w
+
+
+def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     """Closed-form expected tallies for a full scenario run.
 
-    Z-path statistics are theta-free and reduce to one closed form; the
-    X path is integrated burst-by-burst over the expected locked-drift
-    phase trajectory and the fringe-parity schedule. Counts per burst
-    and detector are Bernoulli (first click wins, dead time covers the
-    rest of the burst), so variances are exact binomial sums. Requires a
-    dead-time-safe schedule, like the vectorized engine it validates.
+    Z-path statistics are theta-free and reduce to one closed form. The
+    X path depends on the burst only through the expected locked-drift
+    phase, which is smooth within each x_segments run, so its per-burst
+    sums are taken by quadrature over each run (_quadrature_nodes). The
+    drift-bound sums carry sigma * sqrt(tau), which is not smooth at the
+    lock, so they are integrated in u = sqrt(tau) instead. Counts per
+    burst and detector are Bernoulli (first click wins, dead time covers
+    the rest of the burst), so variances are exact binomial sums.
+    Requires a dead-time-safe schedule, like the vectorized engine it
+    validates.
     """
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst
-    n_bursts = scenario.n_bursts
-    block = fringe_block_bursts(scenario)
 
     static_z = static_outcome(model.z_table)
     q_any_z = float(np.dot(model.priors, 1.0 - static_z[:, COL_NONE]))
@@ -479,33 +600,30 @@ def analytic_expected_tallies(
     variances = dict.fromkeys(TALLY_KEYS, 0.0)
     drift = dict.fromkeys(TALLY_KEYS, 0.0)
 
-    eligible_total = 0
-    x_sums = np.zeros((3, 2))     # [plain, +spread, -spread] x intensity
-    x_sq = np.zeros(2)
-    m_sums = np.zeros((3, 2))
-    m_sq = np.zeros(2)
+    def sums(nodes, spread: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per intensity: sum over eligible bursts and over parity-1
+        bursts, each as rows (p, p^2)."""
+        pos, weight, odd_w = nodes
+        out = np.zeros((2, 4))
+        for lo in range(0, pos.size, NODE_BATCH):
+            sl = slice(lo, lo + NODE_BATCH)
+            cos_t = expected_cos_theta(scenario, pos[sl], spread)
+            p_central, q_any = _x_key_probs(model, cos_t)
+            p = p_central * duty_factor(q_any, slots)[:, None]  # per burst
+            out += np.stack((weight[sl], odd_w[sl])) @ np.hstack((p, p * p))
+        return out[0].reshape(2, 2), out[1].reshape(2, 2)
 
-    for lo in range(0, n_bursts, chunk_bursts):
-        idx = np.arange(lo, min(lo + chunk_bursts, n_bursts), dtype=np.int64)
-        keep = ~servo_excluded(scenario, idx)
-        idx = idx[keep]
-        if idx.size == 0:
-            continue
-        eligible_total += idx.size
-        parity = burst_parity(idx, block)
-        for j, spread in enumerate((0.0, 1.0, -1.0)):
-            cos_t = expected_cos_theta(scenario, idx, spread)
-            p_central, q_any_x = _x_key_probs(model, cos_t)
-            p_burst = p_central * duty_factor(q_any_x, slots)[:, None]
-            x_sums[j] += p_burst.sum(axis=0)
-            m_sums[j] += p_burst[parity == 1].sum(axis=0)
-            if j == 0:
-                x_sq += (p_burst * p_burst).sum(axis=0)
-                m_sq += (p_burst[parity == 1] ** 2).sum(axis=0)
-            if scenario.interferometer.drift_sigma == 0.0:
-                x_sums[1:] = x_sums[0]
-                m_sums[1:] = m_sums[0]
-                break
+    lo, hi = x_segments(scenario)
+    eligible_total = int((hi - lo).sum())
+    (x_mean, x_sq), (m_mean, m_sq) = sums(
+        _quadrature_nodes(scenario, lo, hi, sqrt_tau=False), 0.0
+    )
+    x_shift = m_shift = np.zeros(2)  # half the +/-spread difference
+    if scenario.interferometer.drift_sigma != 0.0:
+        nodes = _quadrature_nodes(scenario, lo, hi, sqrt_tau=True)
+        (x_up, _), (m_up, _) = sums(nodes, 1.0)
+        (x_down, _), (m_down, _) = sums(nodes, -1.0)
+        x_shift, m_shift = (x_up - x_down) / 2.0, (m_up - m_down) / 2.0
 
     for k, key in enumerate(("n_z_mu1", "n_z_mu2", "m_z_mu1", "m_z_mu2")):
         p = pz_burst[k]
@@ -513,12 +631,12 @@ def analytic_expected_tallies(
         variances[key] = eligible_total * p * (1.0 - p)
 
     for k, (nk, mk) in enumerate((("n_x_mu1", "m_x_mu1"), ("n_x_mu2", "m_x_mu2"))):
-        means[nk] = x_sums[0, k]
-        variances[nk] = x_sums[0, k] - x_sq[k]
-        drift[nk] = ((x_sums[1, k] - x_sums[2, k]) / 2.0) ** 2
-        means[mk] = m_sums[0, k]
-        variances[mk] = m_sums[0, k] - m_sq[k]
-        drift[mk] = ((m_sums[1, k] - m_sums[2, k]) / 2.0) ** 2
+        means[nk] = x_mean[k]
+        variances[nk] = x_mean[k] - x_sq[k]
+        drift[nk] = x_shift[k] ** 2
+        means[mk] = m_mean[k]
+        variances[mk] = m_mean[k] - m_sq[k]
+        drift[mk] = m_shift[k] ** 2
 
     symbols_sent = eligible_total * slots
     elapsed = symbols_sent * scenario.params.symbol_period

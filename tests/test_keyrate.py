@@ -390,6 +390,15 @@ class TestReportSerialization:
         assert extras["degenerate"] is False
         assert extras["elapsed_s"] == 10.0
 
+    def test_all_error_x_tally_reports_q_x_one(self):
+        # every X click fell in a fringe-minimum block
+        t = TallyCounts(n_x_mu1=3, m_x_mu1=3, n_z_mu1=10, elapsed_s=1.0)
+        assert keyrate(t, PARAMS, SEC).q_x == 1.0
+
+    def test_empty_x_tally_reports_q_x_zero(self):
+        t = TallyCounts(n_z_mu1=10, elapsed_s=1.0)
+        assert keyrate(t, PARAMS, SEC).q_x == 0.0
+
     def test_leakage_formula(self):
         lam = error_correction_leakage(FROZEN, SEC)
         from tbqkd import binary_entropy

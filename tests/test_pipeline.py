@@ -10,9 +10,12 @@ optical chain.
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
+import tbqkd.pipeline as pipeline
 from tbqkd import (
     DetectorModel,
     analytic_expected_tallies,
@@ -21,7 +24,7 @@ from tbqkd import (
     simulate_and_analyze,
 )
 from tbqkd.errors import ScheduleViolationError
-from tbqkd.pipeline import REFERENCE_MAX_SLOTS, batch_engine_applicable
+from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS, batch_engine_applicable
 from tbqkd.sift import TALLY_KEYS
 from tbqkd.slotmodel import servo_starts
 
@@ -167,6 +170,82 @@ class TestEngineCrossValidation:
         ref = run_simulation_reference(sc)
         assert batch.eligible_bursts == ref.eligible_bursts
         assert batch.symbols_sent == ref.symbols_sent
+
+
+def drifting_scenario(**overrides):
+    ifm = dataclasses.replace(
+        small_scenario().interferometer,
+        drift_sigma=0.5,
+        stabilization_interval=0.02,
+    )
+    return small_scenario(interferometer=ifm, servo_bursts_per_event=4).replace(
+        **overrides
+    )
+
+
+def whole_run_walk(scenario, rng):
+    """The drift walk drawn as one array over the whole run, one normal
+    draw per stabilization segment, reset to 0 at each segment start."""
+    n = scenario.n_bursts
+    step = scenario.interferometer.drift_sigma * math.sqrt(
+        scenario.plan.burst_period
+    )
+    walk = np.empty(n)
+    starts = [int(s) for s in servo_starts(scenario)]
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        if hi <= lo:
+            continue
+        seg = rng.normal(0.0, step, hi - lo)
+        seg[0] = 0.0
+        walk[lo:hi] = np.cumsum(seg)
+    return walk
+
+
+class TestDriftWalk:
+    """The walk is generated chunk by chunk; draws and running sums must
+    be those of the whole-run walk. Locks every 65536/3 bursts put resets
+    inside chunks and on the chunk boundary 65536, and carry the walk
+    across the chunk boundary 32768."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        sc = drifting_scenario(duration=2.0, seed=31).replace(
+            interferometer=dataclasses.replace(
+                drifting_scenario().interferometer,
+                stabilization_interval=2 * CHUNK_BURSTS * 24e-6 / 3,
+            )
+        )
+        starts = set(servo_starts(sc).tolist())
+        assert 2 * CHUNK_BURSTS in starts and CHUNK_BURSTS not in starts
+        assert len(starts) == 4
+        return sc
+
+    def test_chunks_reproduce_the_whole_run_walk(self, scenario):
+        chunks = list(pipeline._theta_walk(scenario, np.random.default_rng(5)))
+        assert [c.size for c in chunks[:-1]] == [CHUNK_BURSTS] * (len(chunks) - 1)
+        np.testing.assert_array_equal(
+            np.concatenate(chunks),
+            whole_run_walk(scenario, np.random.default_rng(5)),
+        )
+
+    def test_batch_tallies_match_the_whole_run_walk(self, scenario, monkeypatch):
+        chunked = run_simulation(scenario)
+
+        def whole(sc, rng):
+            walk = whole_run_walk(sc, rng)
+            for lo in range(0, walk.size, CHUNK_BURSTS):
+                yield walk[lo:lo + CHUNK_BURSTS]
+
+        monkeypatch.setattr(pipeline, "_theta_walk", whole)
+        again = run_simulation(scenario)
+        assert again.tallies == chunked.tallies
+        assert again.sift_stats == chunked.sift_stats
+
+    def test_batch_engine_agrees_with_the_oracle_under_drift(self):
+        # 25 lock intervals of 833.3 bursts with 4-burst servo windows:
+        # the oracle's segment boundaries meet sampled data
+        sc = drifting_scenario(duration=0.5, seed=17)
+        assert_within_4_sigma(run_simulation(sc), analytic_expected_tallies(sc))
 
 
 class TestSimulateAndAnalyze:

@@ -159,6 +159,9 @@ class TestQber:
     def test_qber_x_min_zero(self):
         assert qber_x(50, 0) == 0.0
 
+    def test_qber_x_max_zero(self):
+        assert qber_x(0, 3) == 1.0
+
     def test_qber_x_no_interference(self):
         assert qber_x(50, 50) == 0.5
 

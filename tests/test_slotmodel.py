@@ -46,7 +46,9 @@ from tbqkd.slotmodel import (
     servo_starts,
     static_outcome,
     x_none_terms,
+    x_segments,
 )
+from tbqkd.slotmodel import _x_key_probs
 
 from conftest import small_scenario
 
@@ -280,6 +282,18 @@ class TestBurstBookkeeping:
         assert tau[3] == pytest.approx(period, rel=1e-6)
 
 
+    def test_lock_elapsed_never_negative(self):
+        # with a 10 us interval every fifth 24 us burst sits on a lock,
+        # where t - floor(t / interval) * interval can round below zero
+        sc = small_scenario(
+            duration=0.01,
+            interferometer=ifm(drift_sigma=0.5, stabilization_interval=1e-5),
+        )
+        assert lock_elapsed_s(sc, np.arange(sc.n_bursts)).min() == 0.0
+        exp = analytic_expected_tallies(sc)
+        assert all(math.isfinite(v) for v in exp.drift_variances.values())
+
+
 class TestExpectedCosTheta:
     def test_driftless_gives_pure_parity_signs(self):
         sc = small_scenario()
@@ -380,17 +394,106 @@ class TestAnalyticTallies:
         want = expected.eligible_bursts * p * duty
         assert expected.means["n_z_mu1"] == pytest.approx(want, rel=1e-12)
 
-    def test_chunking_does_not_change_results(self, scenario, expected):
-        chunked = analytic_expected_tallies(scenario, chunk_bursts=97)
-        for key in expected.means:
-            assert chunked.means[key] == pytest.approx(
-                expected.means[key], rel=1e-9
-            )
-
     def test_fringe_blocks_split_x_counts(self, expected):
         # parity blocks alternate max and min; driftless lock at cos = +1
         # puts far more clicks in even blocks, so m_x is well under half
         assert expected.means["m_x_mu1"] < 0.25 * expected.means["n_x_mu1"]
+
+
+def per_burst_sums(scenario):
+    """The X-path sums of analytic_expected_tallies taken burst by burst:
+    means, binomial variances and drift variances of the four X keys,
+    and the number of eligible bursts."""
+    model = build_link_model(scenario)
+    slots = scenario.params.symbols_per_burst
+    idx = np.arange(scenario.n_bursts)
+    idx = idx[~servo_excluded(scenario, idx)]
+    odd = burst_parity(idx, fringe_block_bursts(scenario)) == 1
+    sums = {}
+    for spread in (0.0, 1.0, -1.0):
+        p_central, q_any = _x_key_probs(
+            model, expected_cos_theta(scenario, idx, spread)
+        )
+        p = p_central * duty_factor(q_any, slots)[:, None]
+        for k, (nk, mk) in enumerate((("n_x_mu1", "m_x_mu1"), ("n_x_mu2", "m_x_mu2"))):
+            for key, rows in ((nk, p[:, k]), (mk, p[odd, k])):
+                sums[key, spread] = math.fsum(rows)
+                if spread == 0.0:
+                    sums[key, "sq"] = math.fsum(rows * rows)
+    keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
+    means = {k: sums[k, 0.0] for k in keys}
+    variances = {k: sums[k, 0.0] - sums[k, "sq"] for k in keys}
+    drift = {k: ((sums[k, 1.0] - sums[k, -1.0]) / 2.0) ** 2 for k in keys}
+    return means, variances, drift, idx.size
+
+
+def segment_scenario(drift_sigma: float, servo: int, **overrides):
+    """Locks every 997.9 burst periods (not a whole number), so the
+    1000-burst parity blocks straddle lock boundaries and a 5-burst servo
+    window starting at burst 998 straddles the parity boundary at 1000;
+    the 4167 bursts of 0.1 s span five lock intervals."""
+    return small_scenario(
+        duration=0.1,
+        interferometer=ifm(
+            drift_sigma=drift_sigma, stabilization_interval=997.9 * 24e-6
+        ),
+        servo_bursts_per_event=servo,
+        **overrides,
+    )
+
+
+class TestSegmentQuadrature:
+    def test_scenario_geometry(self):
+        sc = segment_scenario(0.5, 5)
+        assert fringe_block_bursts(sc) == 1000
+        starts = servo_starts(sc)
+        assert len(starts) >= 4 and starts[1] == 998
+        assert servo_excluded(sc, np.array([997, 998, 1000, 1002, 1003])).tolist() == [
+            False, True, True, True, False
+        ]
+
+    @pytest.mark.parametrize("drift_sigma", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("servo", [0, 5])
+    def test_segments_partition_the_eligible_bursts(self, drift_sigma, servo):
+        sc = segment_scenario(drift_sigma, servo)
+        lo, hi = x_segments(sc)
+        assert np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])
+        covered = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        idx = np.arange(sc.n_bursts)
+        np.testing.assert_array_equal(covered, idx[~servo_excluded(sc, idx)])
+        block = fringe_block_bursts(sc)
+        for a, b in zip(lo, hi):
+            run = np.arange(a, b)
+            assert np.ptp(burst_parity(run, block)) == 0
+            # the lock time never wraps inside a segment
+            assert np.all(np.diff(lock_elapsed_s(sc, run)) > 0.0)
+
+    @pytest.mark.parametrize(
+        "drift_sigma", [0.0, 0.5, 5.0], ids=["driftless", "drift", "fast-drift"]
+    )
+    @pytest.mark.parametrize("servo", [0, 5], ids=["no-servo", "servo"])
+    def test_matches_per_burst_sum(self, drift_sigma, servo):
+        sc = segment_scenario(drift_sigma, servo)
+        means, variances, drift, eligible = per_burst_sums(sc)
+        got = analytic_expected_tallies(sc)
+        assert got.eligible_bursts == eligible
+        for key in means:
+            assert got.means[key] == pytest.approx(means[key], rel=1e-12, abs=0.0)
+            assert got.variances[key] == pytest.approx(
+                variances[key], rel=1e-12, abs=0.0
+            )
+            assert got.drift_variances[key] == pytest.approx(
+                drift[key], rel=1e-6, abs=0.0
+            )
+
+    def test_one_burst_parity_blocks(self):
+        # every segment is a single burst and is summed exactly
+        sc = small_scenario(duration=0.02, fringe_block_x_symbols=1)
+        means, variances, _, eligible = per_burst_sums(sc)
+        got = analytic_expected_tallies(sc)
+        assert got.eligible_bursts == eligible == len(x_segments(sc)[0])
+        for key in means:
+            assert got.means[key] == pytest.approx(means[key], rel=1e-12, abs=0.0)
 
 
 class TestAnalyticScalingExamples:
