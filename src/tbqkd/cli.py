@@ -111,6 +111,9 @@ def _report_payload(
         "discarded_outside": stats.discarded_outside,
         "discarded_sideband": stats.discarded_sideband,
         "discarded_stabilization": stats.discarded_stabilization,
+        # measured seconds per stage; the only field that differs between
+        # reruns of one scenario
+        "timings": outcome.timings,
     }
     return {
         "schema_version": SCHEMA_VERSION,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -162,8 +163,34 @@ class TestSimulate:
                 main, ["simulate", "--config", cfg_path, "--out", str(out)]
             )
             assert result.exit_code == 0, result.output
-        for name in ("report.json", "tallies.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        name = "tallies.csv"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the measured stage times are the only part of the report that
+        # may differ between reruns
+        reports = [json.loads((out / "report.json").read_text()) for out in outs]
+        for report in reports:
+            del report["meta"]["timings"]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    def test_report_times_each_stage(self, runner, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        t0 = time.perf_counter()
+        result = runner.invoke(
+            main, ["simulate", "--config", cfg_path, "--out", str(out)]
+        )
+        wall = time.perf_counter() - t0
+        assert result.exit_code == 0, result.output
+        timings = json.loads((out / "report.json").read_text())["meta"]["timings"]
+        assert set(timings) == {
+            "link_model_s",
+            "drift_walk_s",
+            "uniform_fills_s",
+            "candidates_s",
+            "attribution_tally_s",
+            "key_analysis_s",
+        }
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= wall
 
     def test_seed_override_changes_the_realization(self, runner, cfg_path, tmp_path):
         tallies = {}

@@ -18,15 +18,31 @@ import pytest
 import tbqkd.pipeline as pipeline
 from tbqkd import (
     DetectorModel,
+    ProtocolParams,
     analytic_expected_tallies,
+    load_preset,
     run_simulation,
     run_simulation_reference,
     simulate_and_analyze,
 )
 from tbqkd.errors import ScheduleViolationError
 from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS, batch_engine_applicable
+from tbqkd.protocol import Basis, IntensityClass, State
 from tbqkd.sift import TALLY_KEYS
-from tbqkd.slotmodel import servo_starts
+from tbqkd.slotmodel import (
+    CLASS_INTENSITY,
+    CLASS_STATE,
+    COL_NONE,
+    N_CLASSES,
+    build_link_model,
+    burst_parity,
+    class_index,
+    fringe_block_bursts,
+    servo_excluded,
+    servo_starts,
+    static_outcome,
+    x_none_terms,
+)
 
 from conftest import small_scenario
 
@@ -183,6 +199,17 @@ def drifting_scenario(**overrides):
     )
 
 
+def multi_chunk_drift_scenario():
+    """Drift and servo over three chunks, with a lock on the boundary
+    of the second and third."""
+    return drifting_scenario(duration=2.0, seed=31).replace(
+        interferometer=dataclasses.replace(
+            drifting_scenario().interferometer,
+            stabilization_interval=2 * CHUNK_BURSTS * 24e-6 / 3,
+        )
+    )
+
+
 def whole_run_walk(scenario, rng):
     """The drift walk drawn as one array over the whole run, one normal
     draw per stabilization segment, reset to 0 at each segment start."""
@@ -209,12 +236,7 @@ class TestDriftWalk:
 
     @pytest.fixture(scope="class")
     def scenario(self):
-        sc = drifting_scenario(duration=2.0, seed=31).replace(
-            interferometer=dataclasses.replace(
-                drifting_scenario().interferometer,
-                stabilization_interval=2 * CHUNK_BURSTS * 24e-6 / 3,
-            )
-        )
+        sc = multi_chunk_drift_scenario()
         starts = set(servo_starts(sc).tolist())
         assert 2 * CHUNK_BURSTS in starts and CHUNK_BURSTS not in starts
         assert len(starts) == 4
@@ -270,3 +292,166 @@ class TestSimulateAndAnalyze:
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
             simulate_and_analyze(small_scenario(), engine="gpu")
+
+
+def per_slot_run(scenario):
+    """The batch engine evaluated slot by slot: a class for every slot
+    and a click test for every slot and detector. run_simulation must
+    reproduce it exactly, from the same RNG stream."""
+    model = build_link_model(scenario)
+    slots = scenario.params.symbols_per_burst
+    n_bursts = scenario.n_bursts
+    block = fringe_block_bursts(scenario)
+
+    root = np.random.default_rng(scenario.seed)
+    n_chunks = (n_bursts + CHUNK_BURSTS - 1) // CHUNK_BURSTS
+    theta_rng, *chunk_rngs = root.spawn(1 + n_chunks)
+    walks = pipeline._theta_walk(scenario, theta_rng)
+
+    cum_priors = np.cumsum(model.priors)
+    cum_priors[-1] = 1.0
+    qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
+    kx, eta_b = x_none_terms(model.x_table)
+
+    acc = pipeline._Accumulator()
+    eligible_total = 0
+    for chunk, (rng, walk) in enumerate(zip(chunk_rngs, walks)):
+        lo = chunk * CHUNK_BURSTS
+        idx = np.arange(lo, min(lo + CHUNK_BURSTS, n_bursts), dtype=np.int64)
+        eligible = ~servo_excluded(scenario, idx)
+        parity = burst_parity(idx, block)
+        cos_b = np.cos(math.pi * parity + walk)
+
+        shape = (idx.size, slots)
+        cls = np.searchsorted(cum_priors, rng.random(shape), side="right")
+        clicked_z = rng.random(shape) < qz_any[cls]
+        q_x = 1.0 - kx * np.exp(-eta_b * cos_b[:, None])
+        clicked_x = rng.random(shape) < np.take_along_axis(q_x, cls, axis=1)
+
+        eligible_total += int(eligible.sum())
+        if eligible.any():
+            sent_cls = np.bincount(cls[eligible].ravel(), minlength=N_CLASSES)
+            acc.sent += sent_cls.reshape(3, 2, 2).sum(axis=2)
+
+        for detector, clicked in ((Basis.Z, clicked_z), (Basis.X, clicked_x)):
+            has = clicked.any(axis=1) & eligible
+            if not has.any():
+                continue
+            rows = np.nonzero(has)[0]
+            first = clicked[rows].argmax(axis=1)
+            c_sel = cls[rows, first]
+            u_att = rng.random(rows.size)
+            bins = pipeline._attribute_bins(
+                model, detector, c_sel, cos_b[rows], u_att
+            )
+            pipeline._tally_detector(acc, detector, c_sel, bins, parity[rows])
+
+    return pipeline._run_outcome(scenario, acc, eligible_total, {})
+
+
+def framing_scenario(**overrides):
+    """Two gap bits: early and late 2193 ps apart, delay to match."""
+    ifm = dataclasses.replace(small_scenario().interferometer, delay=2.193e-9)
+    return small_scenario(gap_bits=2, interferometer=ifm, **overrides)
+
+
+def detector_scenario(**changes):
+    det = dataclasses.replace(small_scenario().detector, **changes)
+    return small_scenario(detector=det)
+
+
+IDENTITY_SCENARIOS = {
+    "small": small_scenario,
+    "drift_servo": lambda: drifting_scenario(duration=0.5),
+    "multi_chunk_drift": multi_chunk_drift_scenario,
+    "blind_dark0": lambda: detector_scenario(efficiency=0.0, dark_prob_per_ns=0.0),
+    "blind_dark1e-6": lambda: detector_scenario(
+        efficiency=0.0, dark_prob_per_ns=1e-6
+    ),
+    "0db_eff0.5": lambda: detector_scenario(efficiency=0.5).with_loss(0.0),
+    "gap_bits2": framing_scenario,
+    "fringe_block1": lambda: small_scenario(fringe_block_x_symbols=1),
+    "sparse_cells": lambda: small_scenario(
+        params=ProtocolParams(p_mu1=0.99, p_z=0.3)
+    ),
+    "mid_chunk_end": lambda: small_scenario(duration=1.3771),
+}
+
+
+@pytest.fixture(params=list(IDENTITY_SCENARIOS), scope="module")
+def identity_scenario(request):
+    return IDENTITY_SCENARIOS[request.param]()
+
+
+class TestCandidateEvaluation:
+    """run_simulation looks classes and clicks up only at candidate
+    slots; its outcome must equal the per-slot evaluation bit for bit."""
+
+    def test_matches_per_slot_evaluation(self, identity_scenario):
+        fast = run_simulation(identity_scenario)
+        slow = per_slot_run(identity_scenario)
+        assert fast.tallies == slow.tallies
+        assert fast.tallies.sent_counts == slow.tallies.sent_counts
+        assert fast.sift_stats == slow.sift_stats
+        assert fast.eligible_bursts == slow.eligible_bursts
+        assert fast.symbols_sent == slow.symbols_sent
+        assert fast == slow  # timings take no part in equality
+
+    def test_click_bounds_hold_at_every_phase(self, identity_scenario):
+        for sc in (
+            identity_scenario,
+            load_preset("link-7db"),
+            load_preset("link-14db"),
+        ):
+            model = build_link_model(sc)
+            qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
+            kx, eta_b = x_none_terms(model.x_table)
+            z_bound, x_bound = pipeline._click_bounds(qz_any, kx, eta_b)
+            assert (qz_any <= z_bound).all()
+            theta = np.linspace(0.0, 2.0 * math.pi, 2001)
+            cos_t = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.cos(theta)])
+            cls = np.repeat(np.arange(N_CLASSES), cos_t.size)
+            q_x = pipeline._x_click_prob(kx, eta_b, cls, np.tile(cos_t, N_CLASSES))
+            assert (q_x <= x_bound).all()
+
+
+class TestLedgerCells:
+    def test_cell_starts_follow_class_index(self):
+        starts = pipeline._CELL_STARTS
+        bounds = [0, *starts, N_CLASSES]
+        for state in State:
+            for intensity in IntensityClass:
+                j = int(state) * 2 + int(intensity)
+                for route in Basis:
+                    c = class_index(state, intensity, route)
+                    assert bounds[j] <= c < bounds[j + 1]
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [2, 3, 0, 1, 4, 5, 6, 7, 8, 9, 10, 11],  # two cells swapped
+            [0, 2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11],  # a cell split
+            [4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11],  # two states swapped
+        ],
+    )
+    def test_reordered_classes_are_refused(self, order):
+        with pytest.raises(ValueError, match="ledger"):
+            pipeline._cell_starts(CLASS_STATE[order], CLASS_INTENSITY[order])
+
+    def test_threshold_counts_equal_class_counts(self):
+        model = build_link_model(
+            small_scenario(params=ProtocolParams(p_mu1=0.99, p_z=0.3))
+        )
+        cum_priors = np.cumsum(model.priors)
+        cum_priors[-1] = 1.0
+        u = np.random.default_rng(3).random((400, 20))
+        # uniforms exactly on each cumulative prior, where the class
+        # lookup (side="right") moves to the next class
+        u.flat[: N_CLASSES - 1] = cum_priors[:-1]
+        cls = np.searchsorted(cum_priors, u, side="right")
+        want = np.bincount(cls.ravel(), minlength=N_CLASSES)
+        got = pipeline._ledger_cells(
+            u, cum_priors[pipeline._CELL_STARTS - 1], np.empty(u.shape, bool)
+        )
+        np.testing.assert_array_equal(got, want.reshape(3, 2, 2).sum(axis=2))
+
