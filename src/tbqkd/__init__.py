@@ -12,7 +12,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    DegenerateStatisticsError,
     DelayMismatchError,
     DomainError,
     EmptyGridError,
@@ -48,13 +47,10 @@ from .link import (
     detect,
     detect_x,
     detect_z,
-    drift,
     interfere,
     receiver_basis,
     stabilize,
     transmit,
-    x_bin_offsets,
-    z_bin_offsets,
 )
 from .optimize import (
     GridPoint,
@@ -77,6 +73,7 @@ from .ppg import (
     BurstPlan,
     BurstSchedule,
     ClockConfig,
+    Framing,
     Pulse,
     decode_word,
     encode_state,
@@ -92,8 +89,6 @@ from .protocol import (
     State,
     Symbol,
     binary_entropy,
-    choose_symbols,
-    mean_photons_per_bin,
     sample_symbol,
     tau_n,
 )
@@ -118,104 +113,3 @@ from .slotmodel import (
 from .source import OpticalPulse, SourceConfig, calibrate_output, modulate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "ScenarioConfig",
-    "load_preset",
-    "load_scenario",
-    "preset_names",
-    "save_scenario",
-    "ConfigError",
-    "DegenerateStatisticsError",
-    "DelayMismatchError",
-    "DomainError",
-    "EmptyGridError",
-    "EmptyTallyError",
-    "EncodingOverflowError",
-    "InfeasibleTargetError",
-    "InvalidWordError",
-    "ScheduleViolationError",
-    "TbqkdError",
-    "TimelineMismatchError",
-    "UnmatchedEventError",
-    "DecoyBounds",
-    "KeyRateReport",
-    "SecurityParams",
-    "decoy_bounds",
-    "error_correction_leakage",
-    "finite_bounds",
-    "finite_key_cost",
-    "gamma_penalty",
-    "hoeffding_delta",
-    "keyrate",
-    "phase_error_upper",
-    "secret_key_length",
-    "ChannelModel",
-    "DetectionEvent",
-    "DetectorModel",
-    "InterferometerModel",
-    "StabilizeResult",
-    "detect",
-    "detect_x",
-    "detect_z",
-    "drift",
-    "interfere",
-    "receiver_basis",
-    "stabilize",
-    "transmit",
-    "x_bin_offsets",
-    "z_bin_offsets",
-    "GridPoint",
-    "GridResult",
-    "GridSpec",
-    "expected_keyrate",
-    "expected_tally_counts",
-    "optimize_params",
-    "write_grid_csv",
-    "RunOutcome",
-    "batch_engine_applicable",
-    "run_simulation",
-    "run_simulation_reference",
-    "simulate_and_analyze",
-    "CANONICAL_WORDS",
-    "BurstPlan",
-    "BurstSchedule",
-    "ClockConfig",
-    "Pulse",
-    "decode_word",
-    "encode_state",
-    "pattern_timeline",
-    "plan_bursts",
-    "serialize_word",
-    "Basis",
-    "Bin",
-    "IntensityClass",
-    "ProtocolParams",
-    "State",
-    "Symbol",
-    "binary_entropy",
-    "choose_symbols",
-    "mean_photons_per_bin",
-    "sample_symbol",
-    "tau_n",
-    "EXPORT_KEYS",
-    "TALLY_KEYS",
-    "SiftResult",
-    "TallyCounts",
-    "qber_x",
-    "qber_x_of",
-    "qber_z",
-    "read_tally_csv",
-    "sift",
-    "write_tally_csv",
-    "ExpectedTallies",
-    "LinkModel",
-    "analytic_expected_tallies",
-    "build_link_model",
-    "OpticalPulse",
-    "SourceConfig",
-    "calibrate_output",
-    "modulate",
-    "__version__",
-]

@@ -185,9 +185,7 @@ def pattern(
         _fail_config(f"--bursts must be >= 1, got {bursts}")
     try:
         plan = dataclasses.replace(cfg.plan, n_bursts=bursts)
-        pulses = list(
-            pattern_timeline(cycle, plan, cfg.clock, cfg.shift, cfg.gap_bits)
-        )
+        pulses = list(pattern_timeline(cycle, plan, cfg.framing))
     except TbqkdError as exc:
         _fail_config(str(exc))
         raise AssertionError("unreachable")

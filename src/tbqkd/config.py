@@ -11,6 +11,7 @@ derived from the protocol timing rather than stored twice.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -19,10 +20,15 @@ from typing import Any
 
 import yaml
 
-from .errors import ConfigError, DomainError
+from .errors import (
+    ConfigError,
+    DomainError,
+    EncodingOverflowError,
+    ScheduleViolationError,
+)
 from .keyrate import SecurityParams
 from .link import ChannelModel, DetectorModel, InterferometerModel
-from .ppg import BurstPlan, BurstSchedule, ClockConfig, plan_bursts
+from .ppg import BurstPlan, BurstSchedule, ClockConfig, Framing, plan_bursts
 from .protocol import ProtocolParams
 from .source import SourceConfig
 
@@ -55,7 +61,6 @@ class ScenarioConfig:
     seed: int = 12345
     shift: int = 0
     gap_bits: int = 1
-    packed: bool = False
     fringe_block_x_symbols: int = 100_000
     servo_bursts_per_event: int = 2048
     out_dir: str | None = None
@@ -73,12 +78,24 @@ class ScenarioConfig:
             raise ConfigError("fringe_block_x_symbols must be >= 1")
         if self.servo_bursts_per_event < 0:
             raise ConfigError("servo_bursts_per_event must be >= 0")
-        sep = (self.gap_bits + 1) * self.clock.bit_duration_ps
+        # every engine must be able to run what loads: the word fits its
+        # slot, both bins fit the word, and the interferometer overlaps
+        # early and late
+        try:
+            sep = self.framing.separation_ps
+            self.schedule()
+        except (EncodingOverflowError, ScheduleViolationError) as exc:
+            raise ConfigError(str(exc)) from exc
         if abs(self.interferometer.delay_ps - sep) > self.detector.tdc_resolution_ps:
             raise ConfigError(
                 f"interferometer delay {self.interferometer.delay_ps} ps must "
                 f"match the early/late separation {sep} ps within one TDC step"
             )
+
+    @functools.cached_property
+    def framing(self) -> Framing:
+        """Bin geometry of the run, built once per scenario."""
+        return Framing(self.clock, self.shift, self.gap_bits)
 
     @property
     def n_bursts(self) -> int:
@@ -94,9 +111,7 @@ class ScenarioConfig:
         )
 
     def schedule(self) -> BurstSchedule:
-        return plan_bursts(
-            self.plan, self.clock, self.detector.dead_time, self.packed
-        )
+        return plan_bursts(self.plan, self.clock, self.detector.dead_time)
 
     @property
     def nominal_symbols(self) -> int:
@@ -128,7 +143,6 @@ class ScenarioConfig:
             "seed": self.seed,
             "shift": self.shift,
             "gap_bits": self.gap_bits,
-            "packed": self.packed,
             "fringe_block_x_symbols": self.fringe_block_x_symbols,
             "servo_bursts_per_event": self.servo_bursts_per_event,
         }
@@ -161,7 +175,6 @@ class ScenarioConfig:
             "seed",
             "shift",
             "gap_bits",
-            "packed",
             "fringe_block_x_symbols",
             "servo_bursts_per_event",
             "out_dir",

@@ -45,9 +45,5 @@ class EmptyTallyError(TbqkdError, ValueError):
     """A tally has no events where the analysis requires at least one."""
 
 
-class DegenerateStatisticsError(TbqkdError):
-    """Decoy bounds collapsed; no secure key statement is possible."""
-
-
 class EmptyGridError(TbqkdError, ValueError):
     """An optimization grid contains no candidate points."""

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DelayMismatchError, DomainError
-from .ppg import BurstSchedule, ClockConfig
+from .ppg import BurstSchedule, Framing
 from .protocol import Basis, Bin
 from .source import OpticalPulse
 
@@ -55,12 +55,6 @@ class ChannelModel:
         if self.loss_db is not None:
             return self.loss_db
         return self.alpha_db_per_km * self.length_km
-
-    @property
-    def fiber_length_km(self) -> float:
-        if self.loss_db is not None:
-            return self.loss_db / self.alpha_db_per_km
-        return self.length_km
 
     @property
     def transmission(self) -> float:
@@ -243,30 +237,6 @@ def interfere(
     ]
 
 
-def z_bin_offsets(
-    clock: ClockConfig, shift: int = 0, gap_bits: int = 1
-) -> dict[Bin, float]:
-    """Bin-center offsets (ps) from the slot start for the direct path."""
-    bit = clock.bit_duration_ps
-    early = (shift + 0.5) * bit
-    return {Bin.EARLY: early, Bin.LATE: early + (gap_bits + 1) * bit}
-
-
-def x_bin_offsets(
-    clock: ClockConfig, shift: int = 0, gap_bits: int = 1
-) -> dict[Bin, float]:
-    """Bin-center offsets (ps) for the interferometer path: the late
-    output of the long arm lands one delay after the direct late bin."""
-    bit = clock.bit_duration_ps
-    early = (shift + 0.5) * bit
-    sep = (gap_bits + 1) * bit
-    return {
-        Bin.EARLY: early,
-        Bin.CENTRAL: early + sep,
-        Bin.LATE: early + 2 * sep,
-    }
-
-
 def detect(
     pulses: Sequence[OpticalPulse],
     det: DetectorModel,
@@ -356,19 +326,12 @@ def detect_z(
     det: DetectorModel,
     schedule: BurstSchedule,
     rng: np.random.Generator,
-    shift: int = 0,
-    gap_bits: int = 1,
+    framing: Framing,
     gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Direct-path detection: early/late bins measured as sent."""
     return detect(
-        pulses,
-        det,
-        schedule,
-        rng,
-        z_bin_offsets(schedule.clock, shift, gap_bits),
-        Basis.Z,
-        gated_slots,
+        pulses, det, schedule, rng, framing.z_offsets, Basis.Z, gated_slots
     )
 
 
@@ -378,23 +341,18 @@ def detect_x(
     det: DetectorModel,
     schedule: BurstSchedule,
     rng: np.random.Generator,
-    shift: int = 0,
-    gap_bits: int = 1,
+    framing: Framing,
     gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Interferometer-path detection: each symbol's pulses interfere into
-    three bins, then hit the gated detector."""
+    three bins, then hit the gated detector. The arm delay may differ
+    from the pulse separation by up to one TDC step, the tolerance a
+    scenario is loaded with."""
     out_pulses: list[OpticalPulse] = []
     for group in symbol_pulse_groups:
-        out_pulses.extend(interfere(group, ifm))
+        out_pulses.extend(interfere(group, ifm, det.tdc_resolution_ps))
     return detect(
-        out_pulses,
-        det,
-        schedule,
-        rng,
-        x_bin_offsets(schedule.clock, shift, gap_bits),
-        Basis.X,
-        gated_slots,
+        out_pulses, det, schedule, rng, framing.x_offsets, Basis.X, gated_slots
     )
 
 
@@ -405,19 +363,6 @@ def receiver_basis(rng: np.random.Generator, p_z_receiver: float) -> Basis:
             f"p_z_receiver must lie strictly in (0, 1), got {p_z_receiver}"
         )
     return Basis.Z if rng.random() < p_z_receiver else Basis.X
-
-
-def drift(
-    ifm: InterferometerModel, elapsed: float, rng: np.random.Generator
-) -> float:
-    """Random-walk phase update: theta + N(0, drift_sigma*sqrt(elapsed)),
-    wrapped to [0, 2*pi)."""
-    if elapsed < 0.0:
-        raise DomainError(f"elapsed must be >= 0, got {elapsed}")
-    theta = ifm.theta
-    if ifm.drift_sigma > 0.0 and elapsed > 0.0:
-        theta += rng.normal(0.0, ifm.drift_sigma * math.sqrt(elapsed))
-    return theta % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

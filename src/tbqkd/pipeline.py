@@ -46,10 +46,10 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import ScheduleViolationError
 from .keyrate import KeyRateReport, keyrate
-from .link import detect_x, detect_z, receiver_basis, transmit
+from .link import InterferometerModel, detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
-from .sift import TALLY_KEYS, SiftResult, TallyCounts, sift
+from .sift import TALLY_KEYS, SIDEBAND, SiftResult, TallyCounts, count_clicks, sift
 from .slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
@@ -147,15 +147,17 @@ def _attribute_bins(
 
 @dataclass
 class _Accumulator:
-    counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0)
+    """Tally-key counts, clicks per sift_rule reason, and the sent ledger."""
+
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(TALLY_KEYS), np.int64)
+    )
+    discards: np.ndarray = field(
+        default_factory=lambda: np.zeros(SIDEBAND + 1, np.int64)
     )
     sent: np.ndarray = field(
         default_factory=lambda: np.zeros(_LEDGER_SHAPE, np.int64)
     )
-    cross: int = 0
-    outside: int = 0
-    sideband: int = 0
 
 
 def _tally_detector(
@@ -165,31 +167,12 @@ def _tally_detector(
     bins: np.ndarray,
     parity: np.ndarray,
 ) -> None:
-    """Apply the sift mapping to attributed first clicks."""
-    states = CLASS_STATE[cls]
-    intens = CLASS_INTENSITY[cls]
-    out_mask = bins == 3
-    acc.outside += int(out_mask.sum())
-    live = ~out_mask
-    if detector == Basis.Z:
-        z_sent = live & (states != int(State.XPlus))
-        acc.cross += int((live & ~z_sent).sum())
-        correct = np.where(states == int(State.Z0), 0, 2)
-        for k in (0, 1):
-            sel = z_sent & (intens == k)
-            suffix = "mu1" if k == 0 else "mu2"
-            acc.counts[f"n_z_{suffix}"] += int(sel.sum())
-            acc.counts[f"m_z_{suffix}"] += int((sel & (bins != correct)).sum())
-    else:
-        x_sent = live & (states == int(State.XPlus))
-        acc.cross += int((live & ~x_sent).sum())
-        central = x_sent & (bins == 1)
-        acc.sideband += int((x_sent & ~central).sum())
-        for k in (0, 1):
-            sel = central & (intens == k)
-            suffix = "mu1" if k == 0 else "mu2"
-            acc.counts[f"n_x_{suffix}"] += int(sel.sum())
-            acc.counts[f"m_x_{suffix}"] += int((sel & (parity == 1)).sum())
+    """Count attributed first clicks through the sift rule."""
+    counts, discards = count_clicks(
+        CLASS_STATE[cls], CLASS_INTENSITY[cls], detector, bins, parity
+    )
+    acc.counts += counts
+    acc.discards += discards
 
 
 def _cell_starts(class_state: np.ndarray, class_intensity: np.ndarray) -> np.ndarray:
@@ -284,20 +267,9 @@ def _run_outcome(
 ) -> RunOutcome:
     symbols_sent = eligible_total * scenario.params.symbols_per_burst
     elapsed = symbols_sent * scenario.params.symbol_period
-    tallies = TallyCounts(
-        sent_counts=tuple(tuple(int(v) for v in row) for row in acc.sent),
-        elapsed_s=elapsed,
-        **acc.counts,
-    )
-    stats = SiftResult(
-        tallies=tallies,
-        discarded_cross_basis=acc.cross,
-        discarded_outside=acc.outside,
-        discarded_sideband=acc.sideband,
-        discarded_stabilization=0,
-    )
+    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
     return RunOutcome(
-        tallies=tallies,
+        tallies=stats.tallies,
         sift_stats=stats,
         eligible_bursts=eligible_total,
         total_bursts=scenario.n_bursts,
@@ -455,73 +427,45 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     parity_all = burst_parity(idx_all, block)
     channel = scenario.channel
     det = scenario.detector
-    words = [
-        encode_state(State(s), scenario.shift, scenario.gap_bits) for s in range(3)
-    ]
-
-    def make_slot(b: int, s: int) -> tuple[Symbol, list]:
-        sym = sample_symbol(sym_rng, params, b, s)
-        frag = serialize_word(
-            words[int(sym.state)],
-            scenario.clock,
-            t0_ps=schedule.slot_start_ps(b, s),
-            shift=scenario.shift,
-            gap_bits=scenario.gap_bits,
-            burst_index=b,
-            slot_index=s,
-        )
-        return sym, transmit(modulate(sym, frag, params, scenario.source), channel)
+    framing = scenario.framing
+    words = [encode_state(state, framing) for state in State]
 
     sent: list[Symbol] = []
     events = []
-    if per_burst:
-        for b in range(n_bursts):
-            if excluded_mask[b]:
-                continue
-            theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
-            ifm_b = dataclasses.replace(ifm, theta=theta_b)
-            z_pulses = []
-            x_groups = []
-            burst_slots = []
-            for s in range(slots):
-                sym, pulses = make_slot(b, s)
-                sent.append(sym)
-                burst_slots.append((b, s))
-                if receiver_basis(sym_rng, scenario.p_z_receiver) == Basis.Z:
-                    z_pulses.extend(pulses)
-                else:
-                    x_groups.append(pulses)
-            events.extend(
-                detect_z(z_pulses, det, schedule, det_rng_z,
-                         scenario.shift, scenario.gap_bits, burst_slots)
-            )
-            events.extend(
-                detect_x(x_groups, ifm_b, det, schedule, det_rng_x,
-                         scenario.shift, scenario.gap_bits, burst_slots)
-            )
-    else:
+
+    def run_bursts(bursts: list[int], ifm_run: InterferometerModel) -> None:
+        """Emit every slot of the bursts, then detect them as one stream
+        on each path."""
         z_pulses = []
         x_groups = []
-        all_slots = []
-        for b in range(n_bursts):
-            if excluded_mask[b]:
-                continue
+        gated = []
+        for b in bursts:
             for s in range(slots):
-                sym, pulses = make_slot(b, s)
+                sym = sample_symbol(sym_rng, params, b, s)
+                frag = serialize_word(
+                    words[sym.state], framing, schedule.slot_start_ps(b, s), b, s
+                )
+                pulses = transmit(
+                    modulate(sym, frag, params, scenario.source, framing), channel
+                )
                 sent.append(sym)
-                all_slots.append((b, s))
+                gated.append((b, s))
                 if receiver_basis(sym_rng, scenario.p_z_receiver) == Basis.Z:
                     z_pulses.extend(pulses)
                 else:
                     x_groups.append(pulses)
+        events.extend(detect_z(z_pulses, det, schedule, det_rng_z, framing, gated))
         events.extend(
-            detect_z(z_pulses, det, schedule, det_rng_z,
-                     scenario.shift, scenario.gap_bits, all_slots)
+            detect_x(x_groups, ifm_run, det, schedule, det_rng_x, framing, gated)
         )
-        events.extend(
-            detect_x(x_groups, ifm, det, schedule, det_rng_x,
-                     scenario.shift, scenario.gap_bits, all_slots)
-        )
+
+    live = np.flatnonzero(~excluded_mask).tolist()
+    if per_burst:
+        for b in live:
+            theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
+            run_bursts([b], dataclasses.replace(ifm, theta=theta_b))
+    else:
+        run_bursts(live, ifm)
 
     t2 = clock()
     events.sort(key=lambda e: (e.burst_index, e.slot_index, e.timestamp_ps))

@@ -9,9 +9,10 @@ schedules spanning 1e8+ slots stay exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     EncodingOverflowError,
@@ -21,77 +22,6 @@ from .errors import (
 from .protocol import Bin, State
 
 WORD_BITS = 8
-
-#: Serializer words for the canonical framing (shift=0, gap_bits=1),
-#: indexed by State value: 10000000, 00100000, 10100000.
-CANONICAL_WORDS = (0b10000000, 0b00100000, 0b10100000)
-
-
-def _bit_positions(state: State, shift: int, gap_bits: int) -> tuple[int, ...]:
-    early = shift
-    late = shift + gap_bits + 1
-    if state == State.Z0:
-        return (early,)
-    if state == State.Z1:
-        return (late,)
-    return (early, late)
-
-
-def encode_state(state: State, shift: int = 0, gap_bits: int = 1) -> int:
-    """8-bit serial word for a state; set bits count from the MSB so the
-    integer's binary literal reads in transmission order.
-
-    shift moves the whole pattern right; gap_bits is the number of empty
-    bit slots between the early and late positions (>= 1, so the two
-    optical bins never touch).
-    """
-    if shift < 0:
-        raise EncodingOverflowError(f"shift must be non-negative, got {shift}")
-    if gap_bits < 1:
-        raise EncodingOverflowError(f"gap_bits must be >= 1, got {gap_bits}")
-    word = 0
-    for pos in _bit_positions(State(state), shift, gap_bits):
-        if pos >= WORD_BITS:
-            raise EncodingOverflowError(
-                f"state {State(state).name} with shift={shift}, gap_bits={gap_bits} "
-                f"needs bit {pos}, outside the {WORD_BITS}-bit word"
-            )
-        word |= 1 << (WORD_BITS - 1 - pos)
-    return word
-
-
-def decode_word(word: int, shift: int = 0, gap_bits: int = 1) -> tuple[State, int, int]:
-    """Inverse of encode_state under a known framing (shift, gap_bits).
-
-    The framing must be supplied because a single set bit is ambiguous on
-    its own: the early position of one shift is the late position of
-    another. Returns (state, shift, gap_bits) so the round trip echoes
-    its inputs.
-    """
-    if not (0 <= word < (1 << WORD_BITS)):
-        raise InvalidWordError(f"word {word!r} is not an {WORD_BITS}-bit value")
-    if shift < 0 or gap_bits < 1:
-        raise InvalidWordError(
-            f"invalid framing: shift={shift}, gap_bits={gap_bits}"
-        )
-    positions = tuple(
-        pos for pos in range(WORD_BITS) if word >> (WORD_BITS - 1 - pos) & 1
-    )
-    if not 1 <= len(positions) <= 2:
-        raise InvalidWordError(
-            f"word {word:08b} has {len(positions)} set bits; a symbol word has 1 or 2"
-        )
-    early = shift
-    late = shift + gap_bits + 1
-    if positions == (early, late):
-        return (State.XPlus, shift, gap_bits)
-    if positions == (early,):
-        return (State.Z0, shift, gap_bits)
-    if positions == (late,):
-        return (State.Z1, shift, gap_bits)
-    raise InvalidWordError(
-        f"word {word:08b} does not match framing shift={shift}, gap_bits={gap_bits}"
-    )
 
 
 @dataclass(frozen=True)
@@ -128,6 +58,100 @@ class ClockConfig:
 
 
 @dataclass(frozen=True)
+class Framing:
+    """Where a symbol's bins sit: the early bit follows `shift` empty
+    bits, and `gap_bits` empty bits (>= 1, so the two optical bins never
+    touch) separate it from the late bit. The one definition of the
+    early/late geometry: the encoder, the modulator's leak pulse and the
+    receiver's bin windows all read it. Both bits must fit the word.
+    """
+
+    clock: ClockConfig = ClockConfig()
+    shift: int = 0
+    gap_bits: int = 1
+
+    def __post_init__(self) -> None:
+        if self.shift < 0 or self.gap_bits < 1 or self.late >= WORD_BITS:
+            raise EncodingOverflowError(
+                f"framing shift={self.shift}, gap_bits={self.gap_bits} puts "
+                f"the bins at bits {self.early} and {self.late}; both must lie "
+                f"in 0..{WORD_BITS - 1}, at least two bits apart"
+            )
+
+    @property
+    def early(self) -> int:
+        return self.shift
+
+    @property
+    def late(self) -> int:
+        return self.shift + self.gap_bits + 1
+
+    @functools.cached_property
+    def bits(self) -> tuple[tuple[tuple[int, Bin], ...], ...]:
+        """(bit position, bin) of each pulse of a state, in time order,
+        indexed by State value."""
+        early, late = (self.early, Bin.EARLY), (self.late, Bin.LATE)
+        return (early,), (late,), (early, late)
+
+    @functools.cached_property
+    def words(self) -> tuple[int, ...]:
+        """8-bit serial word of each state, indexed by State value; set
+        bits count from the MSB so the integer's binary literal reads in
+        transmission order."""
+        return tuple(
+            sum(1 << (WORD_BITS - 1 - pos) for pos, _ in bits) for bits in self.bits
+        )
+
+    @property
+    def separation_ps(self) -> int:
+        """Early-to-late pulse spacing on the picosecond grid."""
+        return (self.gap_bits + 1) * self.clock.bit_duration_ps
+
+    @property
+    def z_offsets(self) -> dict[Bin, float]:
+        """Bin-center offsets (ps) from the slot start on the direct path."""
+        early = (self.shift + 0.5) * self.clock.bit_duration_ps
+        return {Bin.EARLY: early, Bin.LATE: early + self.separation_ps}
+
+    @property
+    def x_offsets(self) -> dict[Bin, float]:
+        """Bin-center offsets (ps) on the interferometer path: the long
+        arm delays each pulse by one separation, so the central bin
+        interferes early and late and the late output lands one
+        separation after the direct late bin."""
+        early = (self.shift + 0.5) * self.clock.bit_duration_ps
+        sep = self.separation_ps
+        return {Bin.EARLY: early, Bin.CENTRAL: early + sep, Bin.LATE: early + 2 * sep}
+
+
+CANONICAL = Framing()
+
+#: Serializer words for the canonical framing (shift=0, gap_bits=1),
+#: indexed by State value: 10000000, 00100000, 10100000.
+CANONICAL_WORDS = CANONICAL.words
+
+
+def encode_state(state: State, framing: Framing = CANONICAL) -> int:
+    """8-bit serial word for a state under the framing (Framing.words)."""
+    return framing.words[state]
+
+
+def decode_word(word: int, framing: Framing = CANONICAL) -> State:
+    """Inverse of encode_state under a known framing, which decoding
+    needs because a single set bit is ambiguous on its own: the early
+    position of one shift is the late position of another.
+    """
+    if not (0 <= word < (1 << WORD_BITS)):
+        raise InvalidWordError(f"word {word!r} is not an {WORD_BITS}-bit value")
+    if word in framing.words:
+        return State(framing.words.index(word))
+    raise InvalidWordError(
+        f"word {word:08b} is no state under framing shift={framing.shift}, "
+        f"gap_bits={framing.gap_bits}"
+    )
+
+
+@dataclass(frozen=True)
 class Pulse:
     """One rectangular optical pulse on the integer-picosecond timeline."""
 
@@ -144,33 +168,27 @@ class Pulse:
 
 def serialize_word(
     word: int,
-    clock: ClockConfig,
+    framing: Framing,
     t0_ps: int = 0,
-    shift: int = 0,
-    gap_bits: int = 1,
     burst_index: int = 0,
     slot_index: int = 0,
 ) -> list[Pulse]:
     """Emit the optical pulses of one serial word starting at t0_ps.
 
-    Bit i occupies [t0 + i*bit, t0 + (i+1)*bit). The word must decode
-    under the given framing; pulses are labeled early/late accordingly.
+    Bit i occupies [t0 + i*bit, t0 + (i+1)*bit) on the framing's clock.
+    The word must decode under the framing; pulses are labeled
+    early/late accordingly.
     """
-    state, _, _ = decode_word(word, shift, gap_bits)
-    bit_ps = clock.bit_duration_ps
-    labels = {
-        shift: Bin.EARLY,
-        shift + gap_bits + 1: Bin.LATE,
-    }
+    bit_ps = framing.clock.bit_duration_ps
     return [
         Pulse(
             start_ps=t0_ps + pos * bit_ps,
             width_ps=bit_ps,
-            bin_label=labels[pos],
+            bin_label=label,
             burst_index=burst_index,
             slot_index=slot_index,
         )
-        for pos in _bit_positions(state, shift, gap_bits)
+        for pos, label in framing.bits[decode_word(word, framing)]
     ]
 
 
@@ -222,13 +240,7 @@ class BurstSchedule:
     clock: ClockConfig
     dead_time_ps: int
     dead_time_safe: bool
-    packed: bool = False
-    word_bits_per_symbol: int = WORD_BITS
-    _gap_ps: int = field(default=0)
-
-    @property
-    def gap_ps(self) -> int:
-        return self._gap_ps
+    gap_ps: int
 
     def slot_start_ps(self, burst_index: int, slot_index: int) -> int:
         return (
@@ -245,25 +257,17 @@ class BurstSchedule:
 
 
 def plan_bursts(
-    plan: BurstPlan,
-    clock: ClockConfig,
-    dead_time: float = 20e-6,
-    packed: bool = False,
+    plan: BurstPlan, clock: ClockConfig, dead_time: float = 20e-6
 ) -> BurstSchedule:
     """Validate a burst plan against the serializer clock and detector
-    dead time.
-
-    packed=True uses the two-symbols-per-word mode, halving the per-symbol
-    footprint to 4 bits and doubling the maximum slot rate.
-    """
+    dead time: every slot must hold a whole 8-bit word."""
     if dead_time < 0.0:
         raise ScheduleViolationError(f"dead_time must be >= 0, got {dead_time}")
-    bits_per_symbol = WORD_BITS // 2 if packed else WORD_BITS
-    word_ps = bits_per_symbol * clock.bit_duration_ps
+    word_ps = WORD_BITS * clock.bit_duration_ps
     if plan.symbol_period_ps < word_ps:
         raise ScheduleViolationError(
             f"symbol_period {plan.symbol_period_ps} ps is shorter than the "
-            f"{bits_per_symbol}-bit word duration {word_ps} ps at "
+            f"{WORD_BITS}-bit word duration {word_ps} ps at "
             f"f_out={clock.f_out:g} Hz"
         )
     gap_ps = plan.burst_period_ps - plan.symbols_per_burst * plan.symbol_period_ps
@@ -273,18 +277,12 @@ def plan_bursts(
         clock=clock,
         dead_time_ps=dead_time_ps,
         dead_time_safe=gap_ps >= dead_time_ps,
-        packed=packed,
-        word_bits_per_symbol=bits_per_symbol,
-        _gap_ps=gap_ps,
+        gap_ps=gap_ps,
     )
 
 
 def pattern_timeline(
-    states: list[State],
-    plan: BurstPlan,
-    clock: ClockConfig,
-    shift: int = 0,
-    gap_bits: int = 1,
+    states: list[State], plan: BurstPlan, framing: Framing
 ) -> Iterator[Pulse]:
     """Pulses for a schedule whose slots cycle through the given states.
 
@@ -294,9 +292,7 @@ def pattern_timeline(
     if not states:
         raise ScheduleViolationError("pattern needs at least one state")
     cycle = itertools.cycle(states)
-    schedule = plan_bursts(plan, clock, dead_time=0.0)
+    schedule = plan_bursts(plan, framing.clock, dead_time=0.0)
     for b, s, start in schedule.iter_slots():
-        word = encode_state(next(cycle), shift, gap_bits)
-        yield from serialize_word(
-            word, clock, start, shift, gap_bits, burst_index=b, slot_index=s
-        )
+        word = encode_state(next(cycle), framing)
+        yield from serialize_word(word, framing, start, b, s)

@@ -49,21 +49,6 @@ class Bin(enum.IntEnum):
     OUTSIDE = 3
 
 
-#: Basis of each state, indexed by State value.
-STATE_BASIS: tuple[Basis, Basis, Basis] = (Basis.Z, Basis.Z, Basis.X)
-
-#: Key bit encoded by each Z state; XPlus carries no key bit.
-STATE_BIT: tuple[int, int, None] = (0, 1, None)
-
-
-def state_basis(state: State) -> Basis:
-    return STATE_BASIS[int(state)]
-
-
-def state_bit(state: State) -> int | None:
-    return STATE_BIT[int(state)]
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Source-side protocol parameters.
@@ -111,9 +96,6 @@ class ProtocolParams:
     def p_mu2(self) -> float:
         return 1.0 - self.p_mu1
 
-    def intensity(self, cls: IntensityClass) -> float:
-        return self.mu1 if cls == IntensityClass.Signal else self.mu2
-
     def state_probabilities(self) -> np.ndarray:
         """P(Z0), P(Z1), P(XPlus), indexed by State value."""
         return np.array([self.p_z / 2.0, self.p_z / 2.0, 1.0 - self.p_z])
@@ -132,14 +114,6 @@ class Symbol:
     def __post_init__(self) -> None:
         if not (0.0 <= self.phase < 2.0 * math.pi):
             raise DomainError(f"phase must lie in [0, 2*pi), got {self.phase}")
-
-    @property
-    def basis(self) -> Basis:
-        return state_basis(self.state)
-
-    @property
-    def bit(self) -> int | None:
-        return state_bit(self.state)
 
 
 def sample_symbol(
@@ -161,40 +135,6 @@ def sample_symbol(
     )
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return Symbol(state, intensity, phase, burst_index, slot_index)
-
-
-def choose_symbols(
-    n: int, params: ProtocolParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n symbols at once: (states as uint8, signal-intensity flags).
-
-    Vectorized counterpart of sample_symbol for the batch engine; phases
-    are not drawn because every per-symbol detection probability in the
-    model is independent of the global phase.
-    """
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    u = rng.random(n)
-    p = params.state_probabilities()
-    states = np.full(n, int(State.XPlus), dtype=np.uint8)
-    states[u < p[0] + p[1]] = int(State.Z1)
-    states[u < p[0]] = int(State.Z0)
-    use_mu1 = rng.random(n) < params.p_mu1
-    return states, use_mu1
-
-
-def mean_photons_per_bin(symbol: Symbol, params: ProtocolParams) -> tuple[float, float]:
-    """(mu_early, mu_late) for the symbol, summing to the class intensity.
-
-    The XPlus split already includes the 50% balancing loss, keeping the
-    photon rate per symbol uniform across states.
-    """
-    mu = params.intensity(symbol.intensity)
-    if symbol.state == State.Z0:
-        return (mu, 0.0)
-    if symbol.state == State.Z1:
-        return (0.0, mu)
-    return (mu / 2.0, mu / 2.0)
 
 
 def tau_n(n: int, params: ProtocolParams) -> float:

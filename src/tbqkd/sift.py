@@ -7,6 +7,10 @@ as an error when it falls in a fringe-minimum measurement block.
 Cross-basis clicks, out-of-window clicks, X-path side bins, and clicks
 inside stabilization windows are discarded, each into its own counter,
 so every event is accounted for exactly once.
+
+sift_rule states these rules once, elementwise over arrays of clicks;
+the reference engine's sift, the batch engine's tally and the oracle's
+expected tallies all count through it.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Collection, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, EmptyTallyError, UnmatchedEventError
 from .link import DetectionEvent
 from .ppg import BurstSchedule
 from .protocol import Basis, Bin, IntensityClass, State, Symbol
 
+# the n_* key of detector basis b and intensity k sits at index 4*b + k,
+# its error subset m_* two places further on
 TALLY_KEYS = (
     "n_z_mu1",
     "n_z_mu2",
@@ -35,6 +43,71 @@ TALLY_KEYS = (
 EXPORT_KEYS = TALLY_KEYS + ("elapsed_s",)
 
 _ZERO_SENT = ((0, 0), (0, 0), (0, 0))
+
+# what sift_rule makes of a click: SIFTED into a tally key, or a reason
+# to discard it
+SIFTED, CROSS_BASIS, OUTSIDE, SIDEBAND = range(4)
+
+
+def sift_rule(state, intensity, detector, bin_, parity):
+    """The counting rules of this module, elementwise over clicks.
+
+    state, intensity, detector and bin_ take State, IntensityClass,
+    Basis and Bin values; parity is the fringe parity of the click's
+    burst (1 in a fringe-minimum block). Returns arrays (key, error,
+    reason): the TALLY_KEYS index of the n_* counter a sifted click
+    counts into (-1 if discarded), whether it also counts into the
+    matching m_* counter at index key + 2, and SIFTED or the reason the
+    click is discarded.
+    """
+    state, intensity, detector, bin_, parity = np.broadcast_arrays(
+        state, intensity, detector, bin_, parity
+    )
+    x_path = detector == Basis.X
+    reason = np.select(
+        [
+            bin_ == Bin.OUTSIDE,
+            x_path != (state == State.XPlus),
+            x_path & (bin_ != Bin.CENTRAL),
+        ],
+        [OUTSIDE, CROSS_BASIS, SIDEBAND],
+        SIFTED,
+    )
+    sifted = reason == SIFTED
+    key = np.where(sifted, 4 * x_path + intensity, -1)
+    z_wrong = bin_ != np.where(state == State.Z0, Bin.EARLY, Bin.LATE)
+    error = sifted & np.where(x_path, parity == 1, z_wrong)
+    return key, error, reason
+
+
+# what sift_rule makes of every (state, intensity, detector, bin, parity)
+# combination: one row per combination, counts per tally key followed by
+# one per reason
+_COMBO_SHAPE = (len(State), len(IntensityClass), len(Basis), len(Bin), 2)
+
+
+def _rule_table() -> np.ndarray:
+    key, error, reason = sift_rule(*np.indices(_COMBO_SHAPE).reshape(5, -1))
+    n = len(TALLY_KEYS)
+    table = np.zeros((key.size, n + SIDEBAND + 1), dtype=np.int64)
+    rows = np.arange(key.size)
+    table[rows[key >= 0], key[key >= 0]] = 1
+    table[rows[error], key[error] + 2] = 1
+    table[rows, n + reason] = 1
+    return table
+
+
+_RULE_TABLE = _rule_table()
+
+
+def count_clicks(state, intensity, detector, bin_, parity):
+    """Counts per TALLY_KEYS, and clicks per sift_rule reason, of an
+    array of clicks."""
+    combo = np.ravel_multi_index(
+        (state, intensity, detector, bin_, parity), _COMBO_SHAPE
+    )
+    totals = np.bincount(combo.ravel(), minlength=len(_RULE_TABLE)) @ _RULE_TABLE
+    return np.split(totals, [len(TALLY_KEYS)])
 
 
 @dataclass(frozen=True)
@@ -116,9 +189,6 @@ class TallyCounts:
             **kwargs,
         )
 
-    def with_elapsed(self, elapsed_s: float) -> "TallyCounts":
-        return replace(self, elapsed_s=elapsed_s)
-
     def to_export_dict(self) -> dict[str, float]:
         out: dict[str, float] = {k: getattr(self, k) for k in TALLY_KEYS}
         out["elapsed_s"] = self.elapsed_s
@@ -159,6 +229,30 @@ class SiftResult:
     discarded_sideband: int = 0
     discarded_stabilization: int = 0
 
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Sequence[int],
+        discards: Sequence[int],
+        sent_counts: Sequence[Sequence[int]],
+        elapsed_s: float,
+        stabilization: int = 0,
+    ) -> "SiftResult":
+        """Result of count_clicks' counts and discards, the sent ledger,
+        and the clicks dropped in stabilization windows."""
+        tallies = TallyCounts(
+            sent_counts=tuple(tuple(int(v) for v in row) for row in sent_counts),
+            elapsed_s=elapsed_s,
+            **{k: int(v) for k, v in zip(TALLY_KEYS, counts)},
+        )
+        return cls(
+            tallies=tallies,
+            discarded_cross_basis=int(discards[CROSS_BASIS]),
+            discarded_outside=int(discards[OUTSIDE]),
+            discarded_sideband=int(discards[SIDEBAND]),
+            discarded_stabilization=stabilization,
+        )
+
     @property
     def total_events(self) -> int:
         t = self.tallies
@@ -188,59 +282,35 @@ def sift(
     symbol period when a schedule is given.
     """
     by_slot: dict[tuple[int, int], Symbol] = {}
-    counts = dict.fromkeys(TALLY_KEYS, 0)
     sent_counts = [[0, 0], [0, 0], [0, 0]]
     for sym in sent:
         key = (sym.burst_index, sym.slot_index)
         if key in by_slot:
             raise DomainError(f"duplicate sent record for burst/slot {key}")
         by_slot[key] = sym
-        sent_counts[int(sym.state)][int(sym.intensity)] += 1
+        sent_counts[sym.state][sym.intensity] += 1
 
     excluded = set(excluded_bursts)
-    cross = outside = sideband = stab = 0
+    clicks = []
     for ev in events:
         if ev.burst_index in excluded:
-            stab += 1
             continue
         key = (ev.burst_index, ev.slot_index)
         sym = by_slot.get(key)
         if sym is None:
             raise UnmatchedEventError(f"no sent record for burst/slot {key}")
-        if ev.bin == Bin.OUTSIDE:
-            outside += 1
-            continue
-        suffix = "mu1" if sym.intensity == IntensityClass.Signal else "mu2"
-        if sym.basis == Basis.Z and ev.basis == Basis.Z:
-            counts[f"n_z_{suffix}"] += 1
-            correct = Bin.EARLY if sym.state == State.Z0 else Bin.LATE
-            if ev.bin != correct:
-                counts[f"m_z_{suffix}"] += 1
-        elif sym.state == State.XPlus and ev.basis == Basis.X:
-            if ev.bin != Bin.CENTRAL:
-                sideband += 1
-                continue
-            counts[f"n_x_{suffix}"] += 1
-            if fringe_block_bursts is not None:
-                if (ev.burst_index // fringe_block_bursts) % 2 == 1:
-                    counts[f"m_x_{suffix}"] += 1
-        else:
-            cross += 1
-
-    elapsed = 0.0
-    if schedule is not None:
-        elapsed = len(sent) * schedule.plan.symbol_period
-    tallies = TallyCounts(
-        sent_counts=tuple(tuple(r) for r in sent_counts),
-        elapsed_s=elapsed,
-        **counts,
+        clicks.append((sym.state, sym.intensity, ev.basis, ev.bin, ev.burst_index))
+    state, intensity, detector, bins, burst = (
+        np.array(clicks, dtype=np.int64).reshape(-1, 5).T
     )
-    return SiftResult(
-        tallies=tallies,
-        discarded_cross_basis=cross,
-        discarded_outside=outside,
-        discarded_sideband=sideband,
-        discarded_stabilization=stab,
+    if fringe_block_bursts is None:
+        parity = np.zeros_like(burst)
+    else:
+        parity = burst // fringe_block_bursts % 2
+    counts, discards = count_clicks(state, intensity, detector, bins, parity)
+    elapsed = len(sent) * schedule.plan.symbol_period if schedule is not None else 0.0
+    return SiftResult.from_counts(
+        counts, discards, sent_counts, elapsed, len(events) - len(clicks)
     )
 
 

@@ -26,19 +26,14 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import DomainError
-from .link import DetectorModel, x_bin_offsets, z_bin_offsets
+from .link import DetectorModel
 from .protocol import Basis, Bin, IntensityClass, State
-from .sift import TALLY_KEYS
+from .sift import TALLY_KEYS, sift_rule
 
 N_CLASSES = 12
-# outcome columns
-COL_EARLY, COL_CENTRAL, COL_LATE, COL_OUTSIDE, COL_NONE = range(5)
-_BIN_TO_COL = {
-    Bin.EARLY: COL_EARLY,
-    Bin.CENTRAL: COL_CENTRAL,
-    Bin.LATE: COL_LATE,
-    Bin.OUTSIDE: COL_OUTSIDE,
-}
+# outcome columns: the Bin value of a click, then no click
+COL_EARLY, COL_CENTRAL, COL_LATE, COL_OUTSIDE = (int(b) for b in Bin)
+COL_NONE = len(Bin)
 
 
 def class_index(state: State, intensity: IntensityClass, routed: Basis) -> int:
@@ -130,7 +125,7 @@ def _build_gate_table(
                     w = _phi((hi - x) / sigma) - _phi((lo - x) / sigma)
                 else:
                     w = 1.0 if lo <= x < hi else 0.0
-                w_arr[c, i, _BIN_TO_COL[bn]] = w
+                w_arr[c, i, bn] = w
             w_arr[c, i, COL_OUTSIDE] = max(
                 0.0, 1.0 - w_arr[c, i, : COL_OUTSIDE + 1].sum()
             )
@@ -147,7 +142,7 @@ def _build_gate_table(
             for bn, (lo, hi) in regions.items():
                 ov = max(0.0, min(hi, hi_k, gate) - max(lo, lo_k, 0.0))
                 frac = ov / gate
-                spans[c, k, _BIN_TO_COL[bn]] = frac
+                spans[c, k, bn] = frac
                 binned += frac
             spans[c, k, COL_OUTSIDE] = max(0.0, total - binned)
 
@@ -172,7 +167,6 @@ class LinkModel:
     priors: np.ndarray        # (12,)
     z_table: GateTable
     x_table: GateTable
-    sent_bin: np.ndarray      # (3,) Bin value of the occupied bin per state
 
     def table(self, detector: Basis) -> GateTable:
         return self.z_table if detector == Basis.Z else self.x_table
@@ -184,7 +178,6 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
     src = scenario.source
     det = scenario.detector
     ifm = scenario.interferometer
-    clock = scenario.clock
     t_ch = scenario.channel.transmission
 
     p_state = params.state_probabilities()
@@ -198,8 +191,8 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
             * p_route[CLASS_ROUTE[c]]
         )
 
-    z_off = z_bin_offsets(clock, scenario.shift, scenario.gap_bits)
-    x_off = x_bin_offsets(clock, scenario.shift, scenario.gap_bits)
+    z_off = scenario.framing.z_offsets
+    x_off = scenario.framing.x_offsets
     leak = src.leak_fraction
     ratio = src.ratio(params)
 
@@ -229,14 +222,10 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
                 (x_off[Bin.LATE], mu_late / 4.0, 0.0),
             ]
 
-    sent_bin = np.array(
-        [int(Bin.EARLY), int(Bin.LATE), int(Bin.CENTRAL)], dtype=np.int64
-    )
     return LinkModel(
         priors=priors,
         z_table=_build_gate_table(z_comps, z_off, det),
         x_table=_build_gate_table(x_comps, x_off, det),
-        sent_bin=sent_bin,
     )
 
 
@@ -411,21 +400,36 @@ class ExpectedTallies:
     symbols_sent: int
 
 
-def _z_key_probs(model: LinkModel, static_z: np.ndarray) -> np.ndarray:
-    """Per-slot probabilities of the four Z tally keys
-    (n_z_mu1, n_z_mu2, m_z_mu1, m_z_mu2)."""
-    p = np.zeros(4)
-    for c in range(N_CLASSES):
-        state = int(CLASS_STATE[c])
-        if state == int(State.XPlus):
-            continue  # cross-basis, discarded
-        k = int(CLASS_INTENSITY[c])
-        prior = model.priors[c]
-        correct_col = COL_EARLY if state == int(State.Z0) else COL_LATE
-        wrong_col = COL_LATE if state == int(State.Z0) else COL_EARLY
-        p[k] += prior * (static_z[c, correct_col] + static_z[c, wrong_col])
-        p[2 + k] += prior * static_z[c, wrong_col]
-    return p
+def _key_weights(detector: Basis) -> np.ndarray:
+    """Tally keys of a click on the detector under sift_rule, as 0/1
+    weights of shape (2, N_CLASSES, 4, len(TALLY_KEYS)): fringe parity,
+    class, outcome column (early..outside) and key."""
+    parity, cls, col = np.meshgrid(
+        np.arange(2), np.arange(N_CLASSES), np.arange(COL_NONE), indexing="ij"
+    )
+    key, error, _ = sift_rule(
+        CLASS_STATE[cls], CLASS_INTENSITY[cls], detector, col, parity
+    )
+    keys = np.arange(len(TALLY_KEYS))
+    return (
+        (key[..., None] == keys) | (np.where(error, key + 2, -1)[..., None] == keys)
+    ).astype(np.float64)
+
+
+_Z_WEIGHTS = _key_weights(Basis.Z)
+_X_WEIGHTS = _key_weights(Basis.X)
+# classes whose clicks on the interferometer detector count into a key
+_X_COUNTED = _X_WEIGHTS.any(axis=(0, 2, 3))
+
+
+def _class_key_probs(
+    weights: np.ndarray, priors: np.ndarray, outcome: np.ndarray
+) -> np.ndarray:
+    """Per-slot tally-key probabilities, (2, len(TALLY_KEYS)) for fringe
+    parity 0 and 1, of classes with these priors, outcome distributions
+    and _key_weights rows."""
+    mass = priors[:, None] * outcome[:, :COL_NONE]
+    return mass.ravel() @ weights.reshape(2, -1, len(TALLY_KEYS))
 
 
 def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
@@ -439,13 +443,15 @@ def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
 def _x_key_probs(
     model: LinkModel, cos_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot central-click probability on XPlus-sent slots for each
-    intensity (n, 2), and the X-detector any-click probability (n,).
+    """Per-slot probabilities of the tally keys on the interferometer
+    detector, (2, n, len(TALLY_KEYS)) for fringe parity 0 and 1, and its
+    any-click probability (n,).
 
-    Only the two XPlus-routed-X classes need the full per-burst outcome
-    evaluation; every other class enters through its closed-form
-    no-click factor (theta-dependent for the Z-state leak cross term) or
-    a static dark term.
+    Only classes that sift_rule counts and whose mean depends on the
+    phase (XPlus routed to the interferometer) need the full per-burst
+    outcome evaluation; the other counted classes enter through their
+    static outcome (dark clicks while the light went the other way), and
+    every class through its closed-form no-click factor.
     """
     n = cos_t.shape[0]
     k_fac, eta_b = x_none_terms(model.x_table)
@@ -455,17 +461,16 @@ def _x_key_probs(
         none_sum += w * (np.exp(-g * cos_t) if g != 0.0 else 1.0)
     q_any = 1.0 - none_sum
 
-    p_central = np.zeros((n, 2))
+    phased = model.x_table.mean_cos.any(axis=1)
+    fixed = _X_COUNTED & ~phased
     static_x = static_outcome(model.x_table)
-    for k in range(2):
-        c_routed = class_index(State.XPlus, IntensityClass(k), Basis.X)
-        probs = outcome_probs(model.x_table, np.full(n, c_routed), cos_t)
-        p_central[:, k] = model.priors[c_routed] * probs[:, COL_CENTRAL]
-        # dark clicks in the central window while the light went the
-        # other way still sift into n_x
-        c_other = class_index(State.XPlus, IntensityClass(k), Basis.Z)
-        p_central[:, k] += model.priors[c_other] * static_x[c_other, COL_CENTRAL]
-    return p_central, q_any
+    p = _class_key_probs(
+        _X_WEIGHTS[:, fixed], model.priors[fixed], static_x[fixed]
+    )[:, None, :]
+    for c in np.flatnonzero(_X_COUNTED & phased):
+        probs = outcome_probs(model.x_table, np.full(n, c), cos_t)
+        p = p + model.priors[c] * (probs[:, :COL_NONE] @ _X_WEIGHTS[:, c])
+    return np.broadcast_to(p, (2, n, len(TALLY_KEYS))), q_any
 
 
 def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -532,11 +537,11 @@ NODE_BATCH = 1 << 18
 def _quadrature_nodes(
     scenario: ScenarioConfig, lo: np.ndarray, hi: np.ndarray, sqrt_tau: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Burst positions, weights, and weights restricted to fringe-minimum
-    (parity 1) segments, such that the weighted sum of any smooth
-    per-burst function f equals sum(f(b) for b in each segment [lo, hi))
-    to rounding. With sqrt_tau, the interior integral runs in
-    u = sqrt(tau) (dtau = 2u du), so f may also carry sqrt(tau) terms."""
+    """Burst positions, weights, and the fringe parity of each position,
+    such that the weighted sum of any smooth per-burst function f equals
+    sum(f(b) for b in each segment [lo, hi)) to rounding. With sqrt_tau,
+    the interior integral runs in u = sqrt(tau) (dtau = 2u du), so f may
+    also carry sqrt(tau) terms."""
     period = scenario.plan.burst_period
     n = hi - lo
     whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
@@ -563,87 +568,75 @@ def _quadrature_nodes(
         inner = a + (b - a) * _GL_T
         inner_w = (b - a) * _GL_W
 
-    odd = burst_parity(lo, fringe_block_bursts(scenario)).astype(np.float64)
+    odd = burst_parity(lo, fringe_block_bursts(scenario))
     weight = np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel()))
-    odd_w = weight * np.concatenate((
+    parity = np.concatenate((
         np.repeat(odd, head),
         np.repeat(odd[~whole], ends.shape[1]),
         np.repeat(odd[~whole], len(_GL_T)),
     ))
-    return np.concatenate((exact, ends.ravel(), inner.ravel())), weight, odd_w
+    return np.concatenate((exact, ends.ravel(), inner.ravel())), weight, parity
 
 
 def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     """Closed-form expected tallies for a full scenario run.
 
-    Z-path statistics are theta-free and reduce to one closed form. The
-    X path depends on the burst only through the expected locked-drift
-    phase, which is smooth within each x_segments run, so its per-burst
-    sums are taken by quadrature over each run (_quadrature_nodes). The
-    drift-bound sums carry sigma * sqrt(tau), which is not smooth at the
-    lock, so they are integrated in u = sqrt(tau) instead. Counts per
-    burst and detector are Bernoulli (first click wins, dead time covers
-    the rest of the burst), so variances are exact binomial sums.
-    Requires a dead-time-safe schedule, like the vectorized engine it
-    validates.
+    Every tally key counts what sift_rule makes of each class's outcome
+    columns. Z-path statistics are theta-free and reduce to one closed
+    form per fringe parity. The X path depends on the burst only through
+    the expected locked-drift phase, which is smooth within each
+    x_segments run, so its per-burst sums are taken by quadrature over
+    each run (_quadrature_nodes). The drift-bound sums carry
+    sigma * sqrt(tau), which is not smooth at the lock, so they are
+    integrated in u = sqrt(tau) instead. Counts per burst and detector
+    are Bernoulli (first click wins, dead time covers the rest of the
+    burst), so variances are exact binomial sums. Requires a
+    dead-time-safe schedule, like the vectorized engine it validates.
     """
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst
 
-    static_z = static_outcome(model.z_table)
-    q_any_z = float(np.dot(model.priors, 1.0 - static_z[:, COL_NONE]))
-    duty_z = duty_factor(q_any_z, slots)
-    pz_slot = _z_key_probs(model, static_z)
-    pz_burst = pz_slot * duty_z  # per-burst Bernoulli probs, 4 keys
-
-    means = dict.fromkeys(TALLY_KEYS, 0.0)
-    variances = dict.fromkeys(TALLY_KEYS, 0.0)
-    drift = dict.fromkeys(TALLY_KEYS, 0.0)
-
-    def sums(nodes, spread: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per intensity: sum over eligible bursts and over parity-1
-        bursts, each as rows (p, p^2)."""
-        pos, weight, odd_w = nodes
-        out = np.zeros((2, 4))
+    def sums(nodes, spread: float) -> np.ndarray:
+        """Rows per tally key: the sum over eligible bursts of the
+        per-burst click probability p of the X detector, and of p^2."""
+        pos, weight, parity = nodes
+        out = np.zeros(2 * len(TALLY_KEYS))
         for lo in range(0, pos.size, NODE_BATCH):
             sl = slice(lo, lo + NODE_BATCH)
             cos_t = expected_cos_theta(scenario, pos[sl], spread)
-            p_central, q_any = _x_key_probs(model, cos_t)
-            p = p_central * duty_factor(q_any, slots)[:, None]  # per burst
-            out += np.stack((weight[sl], odd_w[sl])) @ np.hstack((p, p * p))
-        return out[0].reshape(2, 2), out[1].reshape(2, 2)
+            p_slot, q_any = _x_key_probs(model, cos_t)
+            # each burst at its own fringe parity
+            p = p_slot[parity[sl], np.arange(cos_t.size)]
+            p *= duty_factor(q_any, slots)[:, None]  # per burst
+            out += weight[sl] @ np.hstack((p, p * p))
+        return out.reshape(2, -1)
 
     lo, hi = x_segments(scenario)
     eligible_total = int((hi - lo).sum())
-    (x_mean, x_sq), (m_mean, m_sq) = sums(
-        _quadrature_nodes(scenario, lo, hi, sqrt_tau=False), 0.0
-    )
-    x_shift = m_shift = np.zeros(2)  # half the +/-spread difference
+    odd = burst_parity(lo, fringe_block_bursts(scenario))
+    n_odd = int(((hi - lo) * odd).sum())
+    x_mean, x_sq = sums(_quadrature_nodes(scenario, lo, hi, sqrt_tau=False), 0.0)
+    x_shift = np.zeros(len(TALLY_KEYS))  # half the +/-spread difference
     if scenario.interferometer.drift_sigma != 0.0:
         nodes = _quadrature_nodes(scenario, lo, hi, sqrt_tau=True)
-        (x_up, _), (m_up, _) = sums(nodes, 1.0)
-        (x_down, _), (m_down, _) = sums(nodes, -1.0)
-        x_shift, m_shift = (x_up - x_down) / 2.0, (m_up - m_down) / 2.0
+        x_shift = (sums(nodes, 1.0)[0] - sums(nodes, -1.0)[0]) / 2.0
 
-    for k, key in enumerate(("n_z_mu1", "n_z_mu2", "m_z_mu1", "m_z_mu2")):
-        p = pz_burst[k]
-        means[key] = eligible_total * p
-        variances[key] = eligible_total * p * (1.0 - p)
-
-    for k, (nk, mk) in enumerate((("n_x_mu1", "m_x_mu1"), ("n_x_mu2", "m_x_mu2"))):
-        means[nk] = x_mean[k]
-        variances[nk] = x_mean[k] - x_sq[k]
-        drift[nk] = x_shift[k] ** 2
-        means[mk] = m_mean[k]
-        variances[mk] = m_mean[k] - m_sq[k]
-        drift[mk] = m_shift[k] ** 2
+    static_z = static_outcome(model.z_table)
+    q_any_z = float(np.dot(model.priors, 1.0 - static_z[:, COL_NONE]))
+    # per burst and fringe parity
+    pz = _class_key_probs(_Z_WEIGHTS, model.priors, static_z) * duty_factor(
+        q_any_z, slots
+    )
+    per_parity = np.array([eligible_total - n_odd, n_odd])
+    z_mean = per_parity @ pz
+    z_var = per_parity @ (pz * (1.0 - pz))
 
     symbols_sent = eligible_total * slots
     elapsed = symbols_sent * scenario.params.symbol_period
     return ExpectedTallies(
-        means=means,
-        variances=variances,
-        drift_variances=drift,
+        means=dict(zip(TALLY_KEYS, (z_mean + x_mean).tolist())),
+        variances=dict(zip(TALLY_KEYS, (z_var + x_mean - x_sq).tolist())),
+        drift_variances=dict(zip(TALLY_KEYS, (x_shift**2).tolist())),
         elapsed_s=elapsed,
         eligible_bursts=eligible_total,
         symbols_sent=symbols_sent,

@@ -8,15 +8,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, InfeasibleTargetError, TimelineMismatchError
-from .ppg import Pulse
-from .protocol import (
-    Bin,
-    IntensityClass,
-    ProtocolParams,
-    State,
-    Symbol,
-    mean_photons_per_bin,
-)
+from .ppg import Framing, Pulse
+from .protocol import Bin, IntensityClass, ProtocolParams, State, Symbol
 
 
 @dataclass(frozen=True)
@@ -89,22 +82,19 @@ def modulate(
     fragment: list[Pulse],
     params: ProtocolParams,
     cfg: SourceConfig,
-    separation_ps: int | None = None,
+    framing: Framing,
 ) -> list[OpticalPulse]:
     """Apply the modulator chain to one symbol's serialized fragment.
 
     The fragment must carry exactly the bins the state occupies. A finite
     extinction ratio adds a leakage pulse in the nominally empty bin of a
-    Z state, placed one early/late separation away from the real pulse;
-    separation_ps defaults to twice the pulse width (the canonical 1-0-1
-    framing). The decoy intensity is reached by scaling every pulse of
-    the symbol, leakage included, by the modulator ratio.
+    Z state, placed one early/late separation of the framing away from
+    the real pulse. The decoy intensity is reached by scaling every pulse
+    of the symbol, leakage included, by the modulator ratio; XPlus pulses
+    pass the first modulator's transmission, so a non-ideal im_ratio or
+    im1_transmission_x shows up faithfully.
     """
-    expected = {
-        State.Z0: (Bin.EARLY,),
-        State.Z1: (Bin.LATE,),
-        State.XPlus: (Bin.EARLY, Bin.LATE),
-    }[symbol.state]
+    expected = tuple(label for _, label in framing.bits[symbol.state])
     got = tuple(p.bin_label for p in fragment)
     if got != expected:
         raise TimelineMismatchError(
@@ -112,10 +102,6 @@ def modulate(
             f"{symbol.state.name} (expected {tuple(b.name for b in expected)})"
         )
 
-    mu_early, mu_late = mean_photons_per_bin(symbol, params)
-    # mean_photons_per_bin already contains the decoy choice and the XPlus
-    # split; reconstruct them through the modulator transmissions instead
-    # so a non-ideal im_ratio or im1_transmission_x shows up faithfully.
     scale = cfg.ratio(params) if symbol.intensity == IntensityClass.Decoy else 1.0
     mu_on = params.mu1 * scale
     x_factor = cfg.im1_transmission_x
@@ -138,7 +124,7 @@ def modulate(
     leak = cfg.leak_fraction
     if leak > 0.0 and symbol.state in (State.Z0, State.Z1):
         anchor = fragment[0]
-        sep = separation_ps if separation_ps is not None else 2 * anchor.width_ps
+        sep = framing.separation_ps
         if symbol.state == State.Z0:
             leak_bin, leak_start = Bin.LATE, anchor.start_ps + sep
         else:

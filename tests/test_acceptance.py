@@ -23,6 +23,7 @@ from click.testing import CliRunner
 from tbqkd import (
     ChannelModel,
     DetectorModel,
+    Framing,
     InterferometerModel,
     ProtocolParams,
     ScenarioConfig,
@@ -116,9 +117,9 @@ def test_pattern_fidelity(tmp_path):
     }
     words_ok = all(encode_state(s) == w for s, w in words.items())
     roundtrip_ok = all(
-        decode_word(encode_state(state, shift), shift) == (state, shift, 1)
+        decode_word(encode_state(state, framing), framing) == state
         for state in words
-        for shift in range(6)
+        for framing in (Framing(shift=shift) for shift in range(6))
     )
 
     # The serialized timeline at the 800 MHz default output clock: one

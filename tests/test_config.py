@@ -9,6 +9,7 @@ import pytest
 from tbqkd import (
     ChannelModel,
     ClockConfig,
+    Framing,
     InterferometerModel,
     ScenarioConfig,
     load_preset,
@@ -126,6 +127,38 @@ class TestValidation:
             small_scenario(
                 interferometer=InterferometerModel(delay=1.25e-9, drift_sigma=0.0)
             )
+
+    def test_bins_must_fit_the_word(self):
+        # shift 6 with two gap bits puts the late bin at bit 9; the delay
+        # matches the 2193 ps separation, so only the word refuses it
+        d = small_scenario().to_dict()
+        d["run"].update(shift=6, gap_bits=2)
+        d["interferometer"]["delay"] = 2.193e-9
+        with pytest.raises(ConfigError, match="bits 6 and 9"):
+            ScenarioConfig.from_dict(d)
+
+    def test_word_must_fit_the_symbol_period(self):
+        # eight 731 ps bits last 5848 ps, longer than a 4 ns slot
+        d = small_scenario().to_dict()
+        d["protocol"]["symbol_period"] = 4e-9
+        with pytest.raises(ConfigError, match="5848 ps"):
+            ScenarioConfig.from_dict(d)
+
+    def test_invalid_framing_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            small_scenario(shift=-1)
+
+    def test_packed_key_is_refused(self):
+        d = small_scenario().to_dict()
+        d["run"]["packed"] = False
+        with pytest.raises(ConfigError, match="packed"):
+            ScenarioConfig.from_dict(d)
+
+    def test_framing_follows_the_run_section(self):
+        ifm = InterferometerModel(delay=2.193e-9, drift_sigma=0.0)
+        cfg = small_scenario(shift=1, gap_bits=2, interferometer=ifm)
+        assert cfg.framing == Framing(cfg.clock, shift=1, gap_bits=2)
+        assert cfg.framing.separation_ps == 2193
 
     def test_delay_check_follows_the_clock(self):
         cfg = ScenarioConfig(

@@ -14,10 +14,10 @@ from tbqkd import (
     ChannelModel,
     ClockConfig,
     DetectorModel,
+    Framing,
     InterferometerModel,
     OpticalPulse,
     detect_z,
-    drift,
     interfere,
     plan_bursts,
     receiver_basis,
@@ -27,6 +27,7 @@ from tbqkd import (
 from tbqkd.errors import DelayMismatchError, DomainError
 
 CLOCK = ClockConfig(f_ref=100e6, f_out=800e6)
+FRAMING = Framing(CLOCK)
 
 
 def pulse(start_ps, mean, bin_label=Bin.EARLY, b=0, s=0, width=625):
@@ -141,7 +142,7 @@ class TestDetect:
             for b in range(sched.plan.n_bursts)
             for s in range(spb)
         ][:n]
-        events = detect_z(pulses, det, sched, np.random.default_rng(seed))
+        events = detect_z(pulses, det, sched, np.random.default_rng(seed), FRAMING)
         p = 1 - math.exp(-mu * det.efficiency)
         sigma = math.sqrt(p * (1 - p) / n)
         assert len(events) / n == pytest.approx(p, abs=3 * sigma)
@@ -152,14 +153,14 @@ class TestDetect:
         sym_ps = sched.plan.symbol_period_ps
         certain = 1e9  # click probability is 1 up to rounding
         pulses = [pulse(0, certain, s=0), pulse(sym_ps, certain, s=1)]
-        events = detect_z(pulses, det, sched, np.random.default_rng(0))
+        events = detect_z(pulses, det, sched, np.random.default_rng(0), FRAMING)
         assert len(events) == 1
 
     def test_blind_detector_sees_nothing(self):
         det = DetectorModel(efficiency=0.0, dark_prob_per_ns=0.0)
         sched = single_pulse_schedule(100)
         pulses = [pulse(i * 200_000, 0.5, s=i) for i in range(100)]
-        assert detect_z(pulses, det, sched, np.random.default_rng(1)) == []
+        assert detect_z(pulses, det, sched, np.random.default_rng(1), FRAMING) == []
 
     def test_dark_rate_and_flagging(self):
         n = 50_000
@@ -172,6 +173,7 @@ class TestDetect:
             det,
             sched,
             np.random.default_rng(8),
+            FRAMING,
             gated_slots=[(b, s) for b in range(50) for s in range(1000)],
         )
         assert all(ev.is_dark for ev in events)
@@ -189,7 +191,7 @@ class TestDetect:
             for b in range(5)
             for s in range(1000)
         ]
-        events = detect_z(pulses, det, sched, np.random.default_rng(2))
+        events = detect_z(pulses, det, sched, np.random.default_rng(2), FRAMING)
         assert events
         assert all(ev.timestamp_ps % 42 == 0 for ev in events)
 
@@ -201,6 +203,7 @@ class TestDetect:
             det,
             sched,
             np.random.default_rng(9),
+            FRAMING,
             gated_slots=[(b, s) for b in range(20) for s in range(1000)],
         )
         assert len(events) > 50
@@ -209,27 +212,6 @@ class TestDetect:
 
 
 class TestDriftAndRouting:
-    def test_zero_sigma_is_identity(self):
-        ifm = InterferometerModel(theta=1.3, drift_sigma=0.0)
-        assert drift(ifm, 100.0, np.random.default_rng(0)) == 1.3
-
-    def test_random_walk_scaling(self):
-        ifm = InterferometerModel(theta=0.0, drift_sigma=0.01)
-        rng = np.random.default_rng(77)
-        thetas = np.array([drift(ifm, 100.0, rng) for _ in range(10_000)])
-        folded = np.angle(np.exp(1j * thetas))
-        assert folded.std() == pytest.approx(0.1, abs=0.01)
-
-    def test_wraps_into_range(self):
-        ifm = InterferometerModel(theta=6.2, drift_sigma=3.0)
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            assert 0.0 <= drift(ifm, 100.0, rng) < 2 * math.pi
-
-    def test_negative_elapsed_rejected(self):
-        with pytest.raises(DomainError):
-            drift(InterferometerModel(), -1.0, np.random.default_rng(0))
-
     def test_receiver_split_fraction(self):
         rng = np.random.default_rng(6)
         eps = 1e-3

@@ -10,13 +10,17 @@ optical chain.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tbqkd.pipeline as pipeline
 from tbqkd import (
+    ChannelModel,
     DetectorModel,
     ProtocolParams,
     analytic_expected_tallies,
@@ -270,6 +274,64 @@ class TestDriftWalk:
         assert_within_4_sigma(run_simulation(sc), analytic_expected_tallies(sc))
 
 
+def matched_framing(shift, gap_bits, **overrides):
+    """small_scenario under another framing, the interferometer delay set
+    to the new early/late separation; extinction stays finite, so Z
+    states carry a leak pulse one separation from the real one."""
+    sep_ps = (gap_bits + 1) * small_scenario().clock.bit_duration_ps
+    ifm = dataclasses.replace(small_scenario().interferometer, delay=sep_ps * 1e-12)
+    return small_scenario(
+        shift=shift, gap_bits=gap_bits, interferometer=ifm, **overrides
+    )
+
+
+class TestFramingAcrossEngines:
+    """Every engine reads the scenario's framing, so both sampling
+    engines agree with the oracle whatever shift and gap the run uses."""
+
+    @pytest.mark.parametrize(
+        "shift,gap_bits,seed", [(0, 1, 51), (0, 2, 52), (1, 1, 53), (2, 3, 54)]
+    )
+    def test_engines_agree_with_the_oracle(self, shift, gap_bits, seed):
+        # no loss and a fivefold efficiency nearly saturate the first
+        # click per burst, and 100-burst fringe blocks fill m_x, so a
+        # short run fills every key
+        sc = matched_framing(
+            shift,
+            gap_bits,
+            duration=0.02,
+            seed=seed,
+            channel=ChannelModel(loss_db=0.0),
+            detector=dataclasses.replace(small_scenario().detector, efficiency=0.5),
+            fringe_block_x_symbols=200,
+        )
+        assert sc.source.leak_fraction > 0.0
+        assert sc.interferometer.delay_ps == sc.framing.separation_ps
+        expected = analytic_expected_tallies(sc)
+        assert_within_4_sigma(run_simulation(sc), expected)
+        assert_within_4_sigma(run_simulation_reference(sc), expected)
+
+    def test_reference_engine_takes_a_delay_within_one_tdc_step(self):
+        # 20 ps off the 1462 ps separation: the load check accepts it,
+        # so the reference engine's interferometer must too
+        ifm = dataclasses.replace(small_scenario().interferometer, delay=1.482e-9)
+        sc = small_scenario(interferometer=ifm, duration=0.01, seed=55)
+        assert_within_4_sigma(
+            run_simulation_reference(sc), analytic_expected_tallies(sc)
+        )
+
+
+def test_traced_bindings_resolve():
+    """The benchmark's tracer patches these module attributes by name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for binding in (b for paths in tracer.WRAPPED.values() for b in paths):
+        module, attr = binding.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module), attr)), binding
+
+
 class TestSimulateAndAnalyze:
     def test_report_is_wired_to_the_run(self, batch_run):
         sc, _ = batch_run
@@ -349,12 +411,6 @@ def per_slot_run(scenario):
     return pipeline._run_outcome(scenario, acc, eligible_total, {})
 
 
-def framing_scenario(**overrides):
-    """Two gap bits: early and late 2193 ps apart, delay to match."""
-    ifm = dataclasses.replace(small_scenario().interferometer, delay=2.193e-9)
-    return small_scenario(gap_bits=2, interferometer=ifm, **overrides)
-
-
 def detector_scenario(**changes):
     det = dataclasses.replace(small_scenario().detector, **changes)
     return small_scenario(detector=det)
@@ -369,7 +425,7 @@ IDENTITY_SCENARIOS = {
         efficiency=0.0, dark_prob_per_ns=1e-6
     ),
     "0db_eff0.5": lambda: detector_scenario(efficiency=0.5).with_loss(0.0),
-    "gap_bits2": framing_scenario,
+    "gap_bits2": lambda: matched_framing(0, 2),
     "fringe_block1": lambda: small_scenario(fringe_block_x_symbols=1),
     "sparse_cells": lambda: small_scenario(
         params=ProtocolParams(p_mu1=0.99, p_z=0.3)

@@ -11,6 +11,7 @@ from tbqkd import (
     BurstPlan,
     CANONICAL_WORDS,
     ClockConfig,
+    Framing,
     State,
     decode_word,
     encode_state,
@@ -26,13 +27,11 @@ from tbqkd.errors import (
 
 CLOCK_800 = ClockConfig(f_ref=100e6, f_out=800e6)
 CLOCK_684 = ClockConfig(f_ref=57e6, f_out=684e6)
+FRAMING_800 = Framing(CLOCK_800)
 
 
-def fits(state: State, shift: int, gap_bits: int) -> bool:
-    late = shift + gap_bits + 1
-    if state == State.Z0:
-        return shift < 8
-    return late < 8
+def fits(shift: int, gap_bits: int) -> bool:
+    return shift + gap_bits + 1 < 8
 
 
 class TestEncoding:
@@ -43,11 +42,11 @@ class TestEncoding:
         assert CANONICAL_WORDS == (0b10000000, 0b00100000, 0b10100000)
 
     def test_shifted_z1(self):
-        assert encode_state(State.Z1, shift=2, gap_bits=1) == 0b00001000
+        assert encode_state(State.Z1, Framing(shift=2, gap_bits=1)) == 0b00001000
 
     def test_decode_examples(self):
-        assert decode_word(0b00100000) == (State.Z1, 0, 1)
-        assert decode_word(0b10100000) == (State.XPlus, 0, 1)
+        assert decode_word(0b00100000) == State.Z1
+        assert decode_word(0b10100000) == State.XPlus
 
     def test_three_set_bits_rejected(self):
         with pytest.raises(InvalidWordError):
@@ -60,37 +59,63 @@ class TestEncoding:
     def test_framing_mismatch_rejected(self):
         # one set bit at position 0 cannot be any state under shift=1
         with pytest.raises(InvalidWordError):
-            decode_word(0b10000000, shift=1)
+            decode_word(0b10000000, Framing(shift=1))
 
     def test_round_trip_all_framings(self):
-        for state, shift, gap in itertools.product(State, range(8), range(1, 7)):
-            if fits(state, shift, gap):
-                word = encode_state(state, shift, gap)
-                assert decode_word(word, shift, gap) == (state, shift, gap)
-            else:
+        for shift, gap in itertools.product(range(8), range(1, 7)):
+            if not fits(shift, gap):
+                # the late bit would fall outside the word
                 with pytest.raises(EncodingOverflowError):
-                    encode_state(state, shift, gap)
+                    Framing(shift=shift, gap_bits=gap)
+                continue
+            framing = Framing(shift=shift, gap_bits=gap)
+            for state in State:
+                word = encode_state(state, framing)
+                assert decode_word(word, framing) == state
 
     def test_bad_framing_arguments(self):
         with pytest.raises(EncodingOverflowError):
-            encode_state(State.Z0, shift=-1)
+            Framing(shift=-1)
         with pytest.raises(EncodingOverflowError):
-            encode_state(State.XPlus, gap_bits=0)
+            Framing(gap_bits=0)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("shift,gap", [(0, 1), (0, 2), (1, 1), (2, 3)])
+    def test_offsets_follow_the_separation(self, shift, gap):
+        framing = Framing(CLOCK_684, shift, gap)
+        bit = CLOCK_684.bit_duration_ps
+        assert framing.separation_ps == (gap + 1) * bit
+        early = (shift + 0.5) * bit
+        assert framing.z_offsets == {
+            Bin.EARLY: early, Bin.LATE: early + framing.separation_ps
+        }
+        assert framing.x_offsets == {
+            Bin.EARLY: early,
+            Bin.CENTRAL: early + framing.separation_ps,
+            Bin.LATE: early + 2 * framing.separation_ps,
+        }
+
+    def test_serialized_bins_sit_at_the_direct_offsets(self):
+        framing = Framing(CLOCK_684, shift=1, gap_bits=2)
+        pulses = serialize_word(encode_state(State.XPlus, framing), framing, 5000)
+        for p in pulses:
+            assert p.center_ps - 5000 == framing.z_offsets[p.bin_label]
 
 
 class TestSerialization:
     def test_xplus_at_800mhz(self):
-        pulses = serialize_word(0b10100000, CLOCK_800)
+        pulses = serialize_word(0b10100000, FRAMING_800)
         assert [(p.start_ps, p.width_ps) for p in pulses] == [(0, 625), (1250, 625)]
         assert [p.bin_label for p in pulses] == [Bin.EARLY, Bin.LATE]
 
     def test_single_bit_word(self):
-        pulses = serialize_word(0b10000000, CLOCK_800)
+        pulses = serialize_word(0b10000000, FRAMING_800)
         assert len(pulses) == 1
         assert (pulses[0].start_ps, pulses[0].width_ps) == (0, 625)
 
     def test_xplus_at_684mhz(self):
-        pulses = serialize_word(0b10100000, CLOCK_684)
+        pulses = serialize_word(0b10100000, Framing(CLOCK_684))
         assert pulses[0].width_ps == 731
         assert pulses[1].width_ps == 731
         assert pulses[1].start_ps - pulses[0].start_ps == 1462
@@ -98,26 +123,28 @@ class TestSerialization:
         assert abs(731 - 1e12 / (2 * 684e6)) < 0.1
 
     def test_t0_offsets_all_pulses(self):
-        pulses = serialize_word(0b10100000, CLOCK_800, t0_ps=5000)
+        pulses = serialize_word(0b10100000, FRAMING_800, t0_ps=5000)
         assert [p.start_ps for p in pulses] == [5000, 6250]
 
     def test_pulse_count_matches_set_bits(self):
         for state, shift, gap in itertools.product(State, range(6), range(1, 4)):
-            if not fits(state, shift, gap):
+            if not fits(shift, gap):
                 continue
-            word = encode_state(state, shift, gap)
-            pulses = serialize_word(word, CLOCK_800, shift=shift, gap_bits=gap)
+            framing = Framing(CLOCK_800, shift, gap)
+            word = encode_state(state, framing)
+            pulses = serialize_word(word, framing)
             assert len(pulses) == bin(word).count("1")
 
     @pytest.mark.parametrize("f_out", [400e6, 500e6, 684e6, 800e6])
     @pytest.mark.parametrize("gap", [1, 2, 3])
     def test_separation_is_gap_plus_one_bits(self, f_out, gap):
         clock = ClockConfig(f_ref=50e6, f_out=f_out)
-        word = encode_state(State.XPlus, 0, gap)
-        pulses = serialize_word(word, clock, shift=0, gap_bits=gap)
+        framing = Framing(clock, 0, gap)
+        pulses = serialize_word(encode_state(State.XPlus, framing), framing)
         assert (
             pulses[1].start_ps - pulses[0].start_ps
             == (gap + 1) * clock.bit_duration_ps
+            == framing.separation_ps
         )
 
 
@@ -139,14 +166,6 @@ class TestScheduling:
         plan = BurstPlan(symbols_per_burst=4, symbol_period=4e-9, burst_period=1e-6)
         with pytest.raises(ScheduleViolationError):
             plan_bursts(plan, CLOCK_800, dead_time=0.0)
-
-    def test_packed_mode_halves_word_footprint(self):
-        plan = BurstPlan(symbols_per_burst=4, symbol_period=2.5e-9, burst_period=1e-6)
-        sched = plan_bursts(plan, CLOCK_800, dead_time=0.0, packed=True)
-        assert sched.packed and sched.word_bits_per_symbol == 4
-        tight = BurstPlan(symbols_per_burst=4, symbol_period=2.4e-9, burst_period=1e-6)
-        with pytest.raises(ScheduleViolationError):
-            plan_bursts(tight, CLOCK_800, dead_time=0.0, packed=True)
 
     def test_burst_longer_than_period_rejected(self):
         with pytest.raises(ScheduleViolationError):
@@ -187,7 +206,7 @@ class TestPatternTimeline:
             symbols_per_burst=3, symbol_period=200e-9, burst_period=1e-6, n_bursts=2
         )
         pulses = list(
-            pattern_timeline([State.Z0, State.Z1, State.XPlus], plan, CLOCK_800)
+            pattern_timeline([State.Z0, State.Z1, State.XPlus], plan, FRAMING_800)
         )
         # 2 bursts x (1 + 1 + 2) pulses
         assert len(pulses) == 8
@@ -199,4 +218,4 @@ class TestPatternTimeline:
     def test_empty_pattern_rejected(self):
         plan = BurstPlan(n_bursts=1)
         with pytest.raises(ScheduleViolationError):
-            next(pattern_timeline([], plan, CLOCK_800))
+            next(pattern_timeline([], plan, FRAMING_800))

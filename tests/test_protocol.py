@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
 
 from tbqkd import (
     IntensityClass,
@@ -17,8 +16,6 @@ from tbqkd import (
     State,
     Symbol,
     binary_entropy,
-    choose_symbols,
-    mean_photons_per_bin,
     sample_symbol,
     tau_n,
 )
@@ -66,28 +63,6 @@ class TestTauN:
 
     def test_nonnegative(self):
         assert all(tau_n(n, PARAMS) >= 0.0 for n in range(30))
-
-
-class TestMeanPhotonsPerBin:
-    def test_z0_signal(self):
-        sym = Symbol(State.Z0, IntensityClass.Signal, phase=0.0)
-        assert mean_photons_per_bin(sym, PARAMS) == (0.50, 0.0)
-
-    def test_xplus_decoy_splits_evenly(self):
-        sym = Symbol(State.XPlus, IntensityClass.Decoy, phase=0.0)
-        assert mean_photons_per_bin(sym, PARAMS) == (0.095, 0.095)
-
-    def test_z1_signal(self):
-        sym = Symbol(State.Z1, IntensityClass.Signal, phase=0.0)
-        assert mean_photons_per_bin(sym, PARAMS) == (0.0, 0.50)
-
-    def test_total_equals_class_intensity(self):
-        # the uniform-photon-rate property: early + late == mu, exactly
-        for state in State:
-            for intensity in IntensityClass:
-                mu = PARAMS.mu1 if intensity == IntensityClass.Signal else PARAMS.mu2
-                early, late = mean_photons_per_bin(Symbol(state, intensity, phase=0.0), PARAMS)
-                assert early + late == mu
 
 
 class TestBinaryEntropy:
@@ -147,23 +122,6 @@ class TestSampling:
             runs.append([sample_symbol(rng, PARAMS, 0, i) for i in range(500)])
         assert runs[0] == runs[1]
         assert a  # the single-draw path works too
-
-    def test_state_intensity_frequencies(self):
-        # chi-square goodness of fit over the 6 (state, intensity) cells
-        # at significance 0.01, 1e6 samples, per the module contract
-        rng = np.random.default_rng(2026)
-        n = 1_000_000
-        states, signal = choose_symbols(n, PARAMS, rng)
-        counts = np.zeros(6)
-        for s in range(3):
-            for k in range(2):
-                counts[s * 2 + k] = np.sum((states == s) & (signal == (k == 0)))
-        pz, pm = PARAMS.p_z, PARAMS.p_mu1
-        probs = []
-        for ps in (pz / 2, pz / 2, 1 - pz):
-            probs += [ps * pm, ps * (1 - pm)]
-        _, pvalue = stats.chisquare(counts, n * np.array(probs))
-        assert pvalue > 0.01
 
     def test_sample_symbol_agrees_with_vectorized_marginals(self):
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,15 @@ from tbqkd import (
     write_tally_csv,
 )
 from tbqkd.errors import DomainError, EmptyTallyError, UnmatchedEventError
-from tbqkd.sift import TALLY_KEYS
+from tbqkd.sift import (
+    CROSS_BASIS,
+    OUTSIDE,
+    SIDEBAND,
+    SIFTED,
+    TALLY_KEYS,
+    count_clicks,
+    sift_rule,
+)
 
 
 def sym(state, b=0, s=0, intensity=IntensityClass.Signal):
@@ -132,6 +141,87 @@ class TestSift:
         )
         assert total == len(events)
         assert t.symbols_sent == len(sent)
+
+
+# (state, detector, bin) -> (reason, error at fringe parity 0, at parity 1),
+# written out from the counting rules in the sift module docstring: a
+# Z-detector click on a Z state is sifted, an error when its bin is not
+# the sent bit's; an X-detector central click on XPlus is sifted, an
+# error in a fringe-minimum block; outside clicks, cross-basis clicks and
+# X-detector side bins are discarded, outside first.
+Z, X = Basis.Z, Basis.X
+E, C, L, O = Bin.EARLY, Bin.CENTRAL, Bin.LATE, Bin.OUTSIDE
+RULES = {
+    (State.Z0, Z, E): (SIFTED, False, False),
+    (State.Z0, Z, C): (SIFTED, True, True),
+    (State.Z0, Z, L): (SIFTED, True, True),
+    (State.Z0, Z, O): (OUTSIDE, False, False),
+    (State.Z1, Z, E): (SIFTED, True, True),
+    (State.Z1, Z, C): (SIFTED, True, True),
+    (State.Z1, Z, L): (SIFTED, False, False),
+    (State.Z1, Z, O): (OUTSIDE, False, False),
+    (State.XPlus, Z, E): (CROSS_BASIS, False, False),
+    (State.XPlus, Z, C): (CROSS_BASIS, False, False),
+    (State.XPlus, Z, L): (CROSS_BASIS, False, False),
+    (State.XPlus, Z, O): (OUTSIDE, False, False),
+    (State.Z0, X, E): (CROSS_BASIS, False, False),
+    (State.Z0, X, C): (CROSS_BASIS, False, False),
+    (State.Z0, X, L): (CROSS_BASIS, False, False),
+    (State.Z0, X, O): (OUTSIDE, False, False),
+    (State.Z1, X, E): (CROSS_BASIS, False, False),
+    (State.Z1, X, C): (CROSS_BASIS, False, False),
+    (State.Z1, X, L): (CROSS_BASIS, False, False),
+    (State.Z1, X, O): (OUTSIDE, False, False),
+    (State.XPlus, X, E): (SIDEBAND, False, False),
+    (State.XPlus, X, C): (SIFTED, False, True),
+    (State.XPlus, X, L): (SIDEBAND, False, False),
+    (State.XPlus, X, O): (OUTSIDE, False, False),
+}
+
+
+class TestSiftRule:
+    def test_truth_table(self):
+        combos = [
+            (state, intensity, detector, bin_, parity)
+            for (state, detector, bin_) in RULES
+            for intensity in IntensityClass
+            for parity in (0, 1)
+        ]
+        assert len(combos) == 96
+        key, error, reason = sift_rule(*np.array(combos).T)
+        for i, (state, intensity, detector, bin_, parity) in enumerate(combos):
+            want_reason, *want_error = RULES[state, detector, bin_]
+            label = (state.name, intensity.name, detector.name, bin_.name, parity)
+            assert reason[i] == want_reason, label
+            assert error[i] == want_error[parity], label
+            if want_reason != SIFTED:
+                assert key[i] == -1, label
+                continue
+            mu = "mu1" if intensity == IntensityClass.Signal else "mu2"
+            name = f"n_{detector.name.lower()}_{mu}"
+            assert TALLY_KEYS[key[i]] == name, label
+            assert TALLY_KEYS[key[i] + 2] == "m" + name[1:], label
+
+    def test_counts_follow_the_rule_and_account_for_every_click(self):
+        rng = np.random.default_rng(4)
+        n = 500
+        clicks = (
+            rng.integers(0, 3, n),
+            rng.integers(0, 2, n),
+            rng.integers(0, 2, n),
+            rng.integers(0, 4, n),
+            rng.integers(0, 2, n),
+        )
+        counts, discards = count_clicks(*clicks)
+        key, error, reason = sift_rule(*clicks)
+        want = np.zeros(len(TALLY_KEYS), dtype=np.int64)
+        np.add.at(want, key[key >= 0], 1)
+        np.add.at(want, key[error] + 2, 1)
+        assert counts.tolist() == want.tolist()
+        assert discards.tolist() == np.bincount(reason, minlength=4).tolist()
+        n_keys = counts[[TALLY_KEYS.index(k) for k in TALLY_KEYS if k[0] == "n"]]
+        assert n_keys.sum() == discards[SIFTED]
+        assert discards.sum() == n
 
 
 class TestQber:

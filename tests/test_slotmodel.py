@@ -25,6 +25,7 @@ from tbqkd import (
     build_link_model,
 )
 from tbqkd.errors import DomainError
+from tbqkd.sift import TALLY_KEYS
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
     CLASS_ROUTE,
@@ -408,19 +409,19 @@ def per_burst_sums(scenario):
     slots = scenario.params.symbols_per_burst
     idx = np.arange(scenario.n_bursts)
     idx = idx[~servo_excluded(scenario, idx)]
-    odd = burst_parity(idx, fringe_block_bursts(scenario)) == 1
+    parity = burst_parity(idx, fringe_block_bursts(scenario))
+    keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
     sums = {}
     for spread in (0.0, 1.0, -1.0):
-        p_central, q_any = _x_key_probs(
+        p_slot, q_any = _x_key_probs(
             model, expected_cos_theta(scenario, idx, spread)
         )
-        p = p_central * duty_factor(q_any, slots)[:, None]
-        for k, (nk, mk) in enumerate((("n_x_mu1", "m_x_mu1"), ("n_x_mu2", "m_x_mu2"))):
-            for key, rows in ((nk, p[:, k]), (mk, p[odd, k])):
-                sums[key, spread] = math.fsum(rows)
-                if spread == 0.0:
-                    sums[key, "sq"] = math.fsum(rows * rows)
-    keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
+        p = p_slot[parity, np.arange(idx.size)] * duty_factor(q_any, slots)[:, None]
+        for key in keys:
+            rows = p[:, TALLY_KEYS.index(key)]
+            sums[key, spread] = math.fsum(rows)
+            if spread == 0.0:
+                sums[key, "sq"] = math.fsum(rows * rows)
     means = {k: sums[k, 0.0] for k in keys}
     variances = {k: sums[k, 0.0] - sums[k, "sq"] for k in keys}
     drift = {k: ((sums[k, 1.0] - sums[k, -1.0]) / 2.0) ** 2 for k in keys}
