@@ -63,7 +63,6 @@ from .optimize import (
 )
 from .pipeline import (
     RunOutcome,
-    batch_engine_applicable,
     run_simulation,
     run_simulation_reference,
     simulate_and_analyze,

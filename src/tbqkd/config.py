@@ -78,18 +78,34 @@ class ScenarioConfig:
             raise ConfigError("fringe_block_x_symbols must be >= 1")
         if self.servo_bursts_per_event < 0:
             raise ConfigError("servo_bursts_per_event must be >= 0")
-        # every engine must be able to run what loads: the word fits its
-        # slot, both bins fit the word, and the interferometer overlaps
-        # early and late
+        # every engine and the oracle must be able to model what loads:
+        # the word fits its slot, both bins fit the word, the
+        # interferometer overlaps early and late, no click time falls in
+        # two bin windows, and a click's dead time blankets the rest of its
+        # burst but ends before the next burst, so the first click per
+        # burst and detector is the only one
         try:
             sep = self.framing.separation_ps
-            self.schedule()
+            gap_ps = self.schedule().gap_ps
         except (EncodingOverflowError, ScheduleViolationError) as exc:
             raise ConfigError(str(exc)) from exc
-        if abs(self.interferometer.delay_ps - sep) > self.detector.tdc_resolution_ps:
+        params, det = self.params, self.detector
+        if abs(self.interferometer.delay_ps - sep) > det.tdc_resolution_ps:
             raise ConfigError(
                 f"interferometer delay {self.interferometer.delay_ps} ps must "
                 f"match the early/late separation {sep} ps within one TDC step"
+            )
+        if det.bin_window_ps >= sep:
+            raise ConfigError(
+                f"bin window {det.bin_window_ps:g} ps must be shorter than the "
+                f"early/late separation {sep} ps"
+            )
+        span = (params.symbols_per_burst - 1) * params.symbol_period + det.gate_width
+        if det.dead_time < span or det.dead_time_ps > gap_ps:
+            raise ConfigError(
+                f"detector dead time {det.dead_time_ps} ps must cover the "
+                f"rest of a burst ({round(span * 1e12)} ps) and not exceed "
+                f"the gap between bursts ({gap_ps} ps)"
             )
 
     @functools.cached_property
@@ -111,7 +127,7 @@ class ScenarioConfig:
         )
 
     def schedule(self) -> BurstSchedule:
-        return plan_bursts(self.plan, self.clock, self.detector.dead_time)
+        return plan_bursts(self.plan, self.clock)
 
     @property
     def nominal_symbols(self) -> int:

@@ -12,17 +12,18 @@ Two engines produce tallies for a scenario:
   phase (a candidate); the sent ledger comes from counting class
   uniforms against the cumulative priors at the (state, intensity) cell
   edges. Classes, clicks and tallies are those of evaluating every slot,
-  from the same RNG stream. The engine requires a dead-time-safe
-  schedule (inter-burst gap >= dead time, and dead time covering the
-  rest of a burst after any click), which lets the first click per
-  burst and detector stand in for the full dead-time cascade exactly.
+  from the same RNG stream.
 
 - run_simulation_reference: the event-by-event twin built from the
-  object-level ops (serialize, modulate, transmit, interfere, detect).
-  It handles any schedule whose inter-burst gap covers the dead time,
-  and with drift disabled also schedules without that guarantee, at the
-  cost of a Python loop per slot. The batch engine is cross-checked
-  against it statistically in the tests.
+  object-level ops (serialize, modulate, transmit, interfere, detect),
+  at the cost of a Python loop per slot. The batch engine is
+  cross-checked against it statistically in the tests.
+
+Every scenario that loads has a dead time that blankets the rest of a
+burst after any click but ends before the next burst (ScenarioConfig
+refuses any other). So the first click per burst and detector stands in
+for the full dead-time cascade exactly in the batch engine and the
+oracle, and the reference engine detects each burst on its own.
 
 Both engines treat the servo lock as exact: each stabilization window
 resets the phase walk to the current fringe block's lock point, and the
@@ -46,7 +47,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import ScheduleViolationError
 from .keyrate import KeyRateReport, keyrate
-from .link import InterferometerModel, detect_x, detect_z, receiver_basis, transmit
+from .link import detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
 from .sift import TALLY_KEYS, SIDEBAND, SiftResult, TallyCounts, count_clicks, sift
@@ -85,19 +86,6 @@ class RunOutcome:
     elapsed_s: float
     # measured seconds per stage of the run, keyed "<stage>_s"
     timings: dict[str, float] = field(default_factory=dict, compare=False)
-
-
-def _burst_covering(scenario: ScenarioConfig) -> bool:
-    """True when one click's dead time always blankets the rest of its
-    burst, so at most one click per burst and detector survives."""
-    params = scenario.params
-    det = scenario.detector
-    span = (params.symbols_per_burst - 1) * params.symbol_period + det.gate_width
-    return det.dead_time >= span
-
-
-def batch_engine_applicable(scenario: ScenarioConfig) -> bool:
-    return scenario.schedule().dead_time_safe and _burst_covering(scenario)
 
 
 def _theta_walk(
@@ -298,11 +286,6 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     per-burst phase and eligibility), and attributing and tallying
     clicks and the sent ledger.
     """
-    if not batch_engine_applicable(scenario):
-        raise ScheduleViolationError(
-            "batch engine needs a dead-time-safe schedule (burst gap >= "
-            "dead time >= in-burst span); use run_simulation_reference"
-        )
     clock = time.perf_counter
     timings = dict.fromkeys(
         ("link_model_s", "drift_walk_s", "uniform_fills_s", "candidates_s",
@@ -390,13 +373,11 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     """Event-by-event run through the object-level operation chain.
 
     Exact with respect to dead time and within-gate timing, at Python
-    speed; guarded by REFERENCE_MAX_SLOTS. When the inter-burst gap
-    covers the dead time each burst is detected independently at its own
-    interferometer phase; otherwise drift_sigma must be 0 and detection
-    runs as one continuous stream at the configured phase (no fringe
-    schedule), honoring dead time across burst boundaries exactly.
-    timings holds the seconds of the phase walk, the per-slot event
-    chain (symbols through detection) and the sift.
+    speed; guarded by REFERENCE_MAX_SLOTS. Each burst is detected on its
+    own at its own interferometer phase, which the scenario's burst
+    timing makes exact: a click's dead time never reaches the next
+    burst. timings holds the seconds of the phase walk, the per-slot
+    event chain (symbols through detection) and the sift.
     """
     schedule = scenario.schedule()
     params = scenario.params
@@ -406,13 +387,6 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
         raise ScheduleViolationError(
             f"reference engine caps at {REFERENCE_MAX_SLOTS} slots; "
             "use run_simulation for larger runs"
-        )
-    per_burst = schedule.dead_time_safe
-    ifm = scenario.interferometer
-    if not per_burst and ifm.drift_sigma != 0.0:
-        raise ScheduleViolationError(
-            "schedules without dead-time-safe burst gaps are supported "
-            "only with drift_sigma = 0"
         )
 
     clock = time.perf_counter
@@ -427,45 +401,35 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     parity_all = burst_parity(idx_all, block)
     channel = scenario.channel
     det = scenario.detector
+    ifm = scenario.interferometer
     framing = scenario.framing
     words = [encode_state(state, framing) for state in State]
 
     sent: list[Symbol] = []
     events = []
-
-    def run_bursts(bursts: list[int], ifm_run: InterferometerModel) -> None:
-        """Emit every slot of the bursts, then detect them as one stream
-        on each path."""
+    for b in np.flatnonzero(~excluded_mask).tolist():
         z_pulses = []
         x_groups = []
-        gated = []
-        for b in bursts:
-            for s in range(slots):
-                sym = sample_symbol(sym_rng, params, b, s)
-                frag = serialize_word(
-                    words[sym.state], framing, schedule.slot_start_ps(b, s), b, s
-                )
-                pulses = transmit(
-                    modulate(sym, frag, params, scenario.source, framing), channel
-                )
-                sent.append(sym)
-                gated.append((b, s))
-                if receiver_basis(sym_rng, scenario.p_z_receiver) == Basis.Z:
-                    z_pulses.extend(pulses)
-                else:
-                    x_groups.append(pulses)
+        for s in range(slots):
+            sym = sample_symbol(sym_rng, params, b, s)
+            frag = serialize_word(
+                words[sym.state], framing, schedule.slot_start_ps(b, s), b, s
+            )
+            pulses = transmit(
+                modulate(sym, frag, params, scenario.source, framing), channel
+            )
+            sent.append(sym)
+            if receiver_basis(sym_rng, scenario.p_z_receiver) == Basis.Z:
+                z_pulses.extend(pulses)
+            else:
+                x_groups.append(pulses)
+        gated = [(b, s) for s in range(slots)]
+        theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
+        ifm_b = dataclasses.replace(ifm, theta=theta_b)
         events.extend(detect_z(z_pulses, det, schedule, det_rng_z, framing, gated))
         events.extend(
-            detect_x(x_groups, ifm_run, det, schedule, det_rng_x, framing, gated)
+            detect_x(x_groups, ifm_b, det, schedule, det_rng_x, framing, gated)
         )
-
-    live = np.flatnonzero(~excluded_mask).tolist()
-    if per_burst:
-        for b in live:
-            theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
-            run_bursts([b], dataclasses.replace(ifm, theta=theta_b))
-    else:
-        run_bursts(live, ifm)
 
     t2 = clock()
     events.sort(key=lambda e: (e.burst_index, e.slot_index, e.timestamp_ps))

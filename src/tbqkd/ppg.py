@@ -47,10 +47,6 @@ class ClockConfig:
         return 2.0 * self.f_out
 
     @property
-    def bit_duration(self) -> float:
-        return 1.0 / self.bit_rate
-
-    @property
     def bit_duration_ps(self) -> int:
         """Bit duration rounded to the picosecond grid (625 ps at 800 MHz,
         731 ps at 684 MHz)."""
@@ -226,10 +222,6 @@ class BurstPlan:
     def burst_period_ps(self) -> int:
         return round(self.burst_period * 1e12)
 
-    @property
-    def total_symbols(self) -> int:
-        return self.n_bursts * self.symbols_per_burst
-
 
 @dataclass(frozen=True)
 class BurstSchedule:
@@ -238,8 +230,6 @@ class BurstSchedule:
 
     plan: BurstPlan
     clock: ClockConfig
-    dead_time_ps: int
-    dead_time_safe: bool
     gap_ps: int
 
     def slot_start_ps(self, burst_index: int, slot_index: int) -> int:
@@ -256,13 +246,9 @@ class BurstSchedule:
                 yield b, s, base + s * self.plan.symbol_period_ps
 
 
-def plan_bursts(
-    plan: BurstPlan, clock: ClockConfig, dead_time: float = 20e-6
-) -> BurstSchedule:
-    """Validate a burst plan against the serializer clock and detector
-    dead time: every slot must hold a whole 8-bit word."""
-    if dead_time < 0.0:
-        raise ScheduleViolationError(f"dead_time must be >= 0, got {dead_time}")
+def plan_bursts(plan: BurstPlan, clock: ClockConfig) -> BurstSchedule:
+    """Validate a burst plan against the serializer clock: every slot
+    must hold a whole 8-bit word."""
     word_ps = WORD_BITS * clock.bit_duration_ps
     if plan.symbol_period_ps < word_ps:
         raise ScheduleViolationError(
@@ -271,14 +257,7 @@ def plan_bursts(
             f"f_out={clock.f_out:g} Hz"
         )
     gap_ps = plan.burst_period_ps - plan.symbols_per_burst * plan.symbol_period_ps
-    dead_time_ps = round(dead_time * 1e12)
-    return BurstSchedule(
-        plan=plan,
-        clock=clock,
-        dead_time_ps=dead_time_ps,
-        dead_time_safe=gap_ps >= dead_time_ps,
-        gap_ps=gap_ps,
-    )
+    return BurstSchedule(plan=plan, clock=clock, gap_ps=gap_ps)
 
 
 def pattern_timeline(
@@ -292,7 +271,7 @@ def pattern_timeline(
     if not states:
         raise ScheduleViolationError("pattern needs at least one state")
     cycle = itertools.cycle(states)
-    schedule = plan_bursts(plan, framing.clock, dead_time=0.0)
+    schedule = plan_bursts(plan, framing.clock)
     for b, s, start in schedule.iter_slots():
         word = encode_state(next(cycle), framing)
         yield from serialize_word(word, framing, start, b, s)

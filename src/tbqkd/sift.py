@@ -16,7 +16,6 @@ expected tallies all count through it.
 from __future__ import annotations
 
 import csv
-import json
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,9 +193,6 @@ class TallyCounts:
         out["elapsed_s"] = self.elapsed_s
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_export_dict(), indent=2, sort_keys=False)
-
     @classmethod
     def from_export_dict(cls, d: dict[str, float]) -> "TallyCounts":
         missing = [k for k in EXPORT_KEYS if k not in d]
@@ -251,18 +247,6 @@ class SiftResult:
             discarded_outside=int(discards[OUTSIDE]),
             discarded_sideband=int(discards[SIDEBAND]),
             discarded_stabilization=stabilization,
-        )
-
-    @property
-    def total_events(self) -> int:
-        t = self.tallies
-        return (
-            t.n_z
-            + t.n_x
-            + self.discarded_cross_basis
-            + self.discarded_outside
-            + self.discarded_sideband
-            + self.discarded_stabilization
         )
 
 

@@ -86,12 +86,6 @@ class GateTable:
     lam_dark: float           # expected darks per gate
     gate_ps: float
 
-    def none_factor(self, cls: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        """P(no click) = exp(-lam - eta * total_mean(theta))."""
-        a = self.mean_const.sum(axis=1)
-        b = self.mean_cos.sum(axis=1)
-        return np.exp(-self.lam_dark - self.eta * (a[cls] + b[cls] * cos_t))
-
 
 def _build_gate_table(
     components: list[list[tuple[float, float, float]]],
@@ -193,6 +187,7 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
 
     z_off = scenario.framing.z_offsets
     x_off = scenario.framing.x_offsets
+    delay = ifm.delay_ps
     leak = src.leak_fraction
     ratio = src.ratio(params)
 
@@ -216,10 +211,15 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
             ]
         else:
             cross = 0.5 * ifm.visibility * math.sqrt(mu_early * mu_late)
+            # the outputs lie one arm delay apart, which may differ from
+            # the separation of the bin windows by up to a TDC step; like
+            # link.interfere, they follow the early pulse, or the late one
+            # when there is no early pulse
+            t0 = z_off[Bin.EARLY] if mu_early > 0.0 else z_off[Bin.LATE] - delay
             x_comps[c] = [
-                (x_off[Bin.EARLY], mu_early / 4.0, 0.0),
-                (x_off[Bin.CENTRAL], (mu_early + mu_late) / 4.0, cross),
-                (x_off[Bin.LATE], mu_late / 4.0, 0.0),
+                (t0, mu_early / 4.0, 0.0),
+                (t0 + delay, (mu_early + mu_late) / 4.0, cross),
+                (t0 + 2 * delay, mu_late / 4.0, 0.0),
             ]
 
     return LinkModel(
@@ -590,8 +590,8 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     sigma * sqrt(tau), which is not smooth at the lock, so they are
     integrated in u = sqrt(tau) instead. Counts per burst and detector
     are Bernoulli (first click wins, dead time covers the rest of the
-    burst), so variances are exact binomial sums. Requires a
-    dead-time-safe schedule, like the vectorized engine it validates.
+    burst, which ScenarioConfig enforces), so variances are exact
+    binomial sums.
     """
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst

@@ -241,6 +241,21 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--config", str(path)])
         assert "lasers" in config_error(result)
 
+    @pytest.mark.parametrize("engine", ["batch", "reference"])
+    def test_short_dead_time_is_a_config_error(self, runner, tmp_path, engine):
+        # 1 us of dead time cannot blanket a 4 us burst: refused at load,
+        # whichever engine was asked for
+        doc = cli_scenario().to_dict()
+        doc["detector"]["dead_time"] = 1e-6
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(
+            main, ["simulate", "--config", str(path), "--engine", engine]
+        )
+        assert "dead time" in config_error(result)
+        assert len(result.stderr.splitlines()) == 1
+        assert isinstance(result.exception, SystemExit)
+
     def test_degenerate_run_exits_3_with_outputs(self, runner, tmp_path):
         # A blind, dark-free receiver clicks on nothing: empty tallies are
         # flagged degenerate, but the artifacts must still land on disk.

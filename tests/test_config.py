@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
+import yaml
 
 from tbqkd import (
     ChannelModel,
@@ -160,6 +162,47 @@ class TestValidation:
         assert cfg.framing == Framing(cfg.clock, shift=1, gap_bits=2)
         assert cfg.framing.separation_ps == 2193
 
+    @pytest.mark.parametrize("bin_window", [1.462e-9, 2.5e-9])
+    def test_bin_windows_must_not_overlap(self, bin_window):
+        # early and late sit 1462 ps apart at 684 MHz; a window that wide
+        # would put one click time in two bins, which the oracle counts
+        # twice and the sampling engines once
+        det = dataclasses.replace(small_scenario().detector, bin_window=bin_window)
+        with pytest.raises(ConfigError, match="bin window"):
+            small_scenario(detector=det)
+
+    @pytest.mark.parametrize(
+        "dead_time,loads",
+        [
+            pytest.param(2e-6, False, id="2us"),
+            pytest.param(1e-6, False, id="1us"),
+            pytest.param(50e-9, False, id="50ns"),
+            pytest.param(21e-6, False, id="21us"),
+            pytest.param(20e-6, True, id="gap"),
+            # 19 symbol periods and one gate: the rest of a burst after a
+            # click in its first slot
+            pytest.param(19 * 200e-9 + 20e-9, True, id="span"),
+        ],
+    )
+    def test_dead_time_must_blanket_the_burst_and_fit_the_gap(
+        self, dead_time, loads, tmp_path
+    ):
+        # the small scenario's bursts: 20 slots of 200 ns every 24 us, so
+        # 20 us of gap, and 20 ns gates
+        base = small_scenario()
+        detector = dataclasses.replace(base.detector, dead_time=dead_time)
+        doc = base.to_dict()
+        doc["detector"]["dead_time"] = dead_time
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        if loads:
+            assert load_scenario(path) == base.replace(detector=detector)
+            return
+        with pytest.raises(ConfigError, match="dead time"):
+            base.replace(detector=detector)
+        with pytest.raises(ConfigError, match="dead time"):
+            load_scenario(path)
+
     def test_delay_check_follows_the_clock(self):
         cfg = ScenarioConfig(
             clock=ClockConfig(f_ref=100e6, f_out=800e6),
@@ -214,6 +257,8 @@ class TestPresets:
         assert cfg.p_z_receiver == 0.35
         assert cfg.security.f_ec == 1.02
         assert cfg.servo_bursts_per_event == 2048
+        # the dead time fills the burst gap exactly, the longest that loads
+        assert cfg.detector.dead_time_ps == cfg.schedule().gap_ps == 20_000_000
 
     def test_presets_differ_only_in_channel_seed(self):
         a = load_preset("link-7db")

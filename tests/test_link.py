@@ -51,7 +51,7 @@ def single_pulse_schedule(n_slots, symbol_period=200e-9):
         burst_period=spb * symbol_period,
         n_bursts=n_bursts,
     )
-    return plan_bursts(plan, CLOCK, dead_time=0.0)
+    return plan_bursts(plan, CLOCK)
 
 
 class TestTransmit:
@@ -120,6 +120,18 @@ class TestInterfere:
         for mu in (0.01, 0.2, 0.5):
             out = interfere(self.make_xplus(mu), ifm)
             assert all(p.mean_photons >= 0.0 for p in out)
+
+
+# one value outside each DetectorModel field's domain
+OUT_OF_DOMAIN = {
+    "efficiency": 1.5,
+    "dead_time": -1e-6,
+    "dark_prob_per_ns": -1e-9,
+    "jitter_sigma": -1e-12,
+    "gate_width": 0.0,
+    "bin_window": 30e-9,
+    "tdc_resolution": 0.0,
+}
 
 
 class TestDetect:
@@ -209,6 +221,11 @@ class TestDetect:
         assert len(events) > 50
         times = [ev.timestamp_ps for ev in events]
         assert all(b - a >= det.dead_time_ps for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("field", list(OUT_OF_DOMAIN))
+    def test_out_of_domain_values_rejected(self, field):
+        with pytest.raises(DomainError, match=field):
+            DetectorModel(**{field: OUT_OF_DOMAIN[field]})
 
 
 class TestDriftAndRouting:

@@ -153,28 +153,23 @@ class TestScheduling:
         plan = BurstPlan(
             symbols_per_burst=20, symbol_period=200e-9, burst_period=24e-6, n_bursts=10
         )
-        sched = plan_bursts(plan, CLOCK_800, dead_time=20e-6)
-        assert sched.dead_time_safe
+        sched = plan_bursts(plan, CLOCK_800)
+        # 20 us of gap: room for the presets' 20 us dead time
         assert sched.gap_ps == 20_000_000
 
     def test_max_symbol_rate_ok(self):
         plan = BurstPlan(symbols_per_burst=4, symbol_period=5e-9, burst_period=1e-6)
-        sched = plan_bursts(plan, CLOCK_800, dead_time=0.0)
+        sched = plan_bursts(plan, CLOCK_800)
         assert sched.plan.symbol_period_ps == 5000
 
     def test_symbol_period_below_word_duration(self):
         plan = BurstPlan(symbols_per_burst=4, symbol_period=4e-9, burst_period=1e-6)
         with pytest.raises(ScheduleViolationError):
-            plan_bursts(plan, CLOCK_800, dead_time=0.0)
+            plan_bursts(plan, CLOCK_800)
 
     def test_burst_longer_than_period_rejected(self):
         with pytest.raises(ScheduleViolationError):
             BurstPlan(symbols_per_burst=20, symbol_period=200e-9, burst_period=3e-6)
-
-    def test_negative_dead_time_rejected(self):
-        plan = BurstPlan()
-        with pytest.raises(ScheduleViolationError):
-            plan_bursts(plan, CLOCK_800, dead_time=-1e-6)
 
     def test_slot_starts_exact_on_bit_grid(self):
         plan = BurstPlan(
@@ -183,7 +178,7 @@ class TestScheduling:
             burst_period=24e-6,
             n_bursts=2,
         )
-        sched = plan_bursts(plan, CLOCK_800, dead_time=20e-6)
+        sched = plan_bursts(plan, CLOCK_800)
         starts = [t for _, _, t in sched.iter_slots()]
         assert starts == sorted(starts)
         assert all(t % CLOCK_800.bit_duration_ps == 0 for t in starts)
@@ -195,7 +190,7 @@ class TestScheduling:
         plan = BurstPlan(
             symbols_per_burst=3, symbol_period=200e-9, burst_period=1e-6, n_bursts=3
         )
-        sched = plan_bursts(plan, CLOCK_800, dead_time=0.0)
+        sched = plan_bursts(plan, CLOCK_800)
         for b, s, t in sched.iter_slots():
             assert t == sched.slot_start_ps(b, s)
 
