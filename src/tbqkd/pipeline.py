@@ -6,7 +6,9 @@ Two engines produce tallies for a scenario:
   uniforms per slot (class, Z die, X die); a slot's detector clicks when
   its die falls below the closed-form click probability of its class
   (slotmodel), and each burst's first click per detector is attributed
-  to a bin with the same race formulas the analytic oracle integrates.
+  to a bin with the same race formulas the analytic oracle integrates:
+  from one row per class on the direct path, which has no phase term,
+  and from outcome_probs at the burst's phase on the interferometer.
   Clicks are rare, so the class of a slot is looked up only where its
   die falls below the largest click probability of any class at any
   phase (a candidate); the sent ledger comes from counting class
@@ -36,7 +38,6 @@ Each RunOutcome carries the measured seconds of the run's stages in
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from collections.abc import Iterator
@@ -47,7 +48,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import ScheduleViolationError
 from .keyrate import KeyRateReport, keyrate
-from .link import detect_x, detect_z, receiver_basis, transmit
+from .link import InterferometerModel, detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
 from .sift import TALLY_KEYS, SIDEBAND, SiftResult, TallyCounts, count_clicks, sift
@@ -55,7 +56,7 @@ from .slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
     COL_NONE,
-    LinkModel,
+    COL_OUTSIDE,
     burst_parity,
     build_link_model,
     fringe_block_bursts,
@@ -68,6 +69,9 @@ from .slotmodel import (
 from .source import modulate
 
 CHUNK_BURSTS = 32768  # fixed: results must not depend on run partitioning
+# slots per block of uniforms, which stays in cache between its draw and
+# its comparisons
+BLOCK_SLOTS = 1 << 15
 
 REFERENCE_MAX_SLOTS = 5_000_000
 
@@ -116,21 +120,21 @@ def _theta_walk(
         yield walk
 
 
-def _attribute_bins(
-    model: LinkModel,
-    detector: Basis,
-    cls: np.ndarray,
-    cos_t: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Map attribution uniforms to bin columns (0..3) for clicking
-    bursts, conditioned on a click having happened."""
-    table = model.table(detector)
-    probs = outcome_probs(table, cls, cos_t)
-    q_any = 1.0 - probs[:, COL_NONE]
-    cond = probs[:, :4] / np.maximum(q_any, 1e-300)[:, None]
-    cum = np.cumsum(cond, axis=1)
-    return np.minimum((u[:, None] > cum).sum(axis=1), 3)
+def _click_cum(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution over the early, central and late columns
+    of where a click lands, (3, n), from outcome distributions (5, n).
+    The sums never decrease, so a click whose attribution uniform
+    exceeds all three lands outside, and the fourth sum is not needed."""
+    cum = probs[:COL_OUTSIDE] / np.maximum(1.0 - probs[COL_NONE], 1e-300)
+    for k in (1, 2):
+        cum[k] += cum[k - 1]
+    return cum
+
+
+def _bins(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Bin column (0..3) of each click from its attribution uniform and
+    the _click_cum column of its slot."""
+    return (u > cum).sum(axis=0)
 
 
 @dataclass
@@ -188,14 +192,17 @@ def _cell_starts(class_state: np.ndarray, class_intensity: np.ndarray) -> np.nda
 _CELL_STARTS = _cell_starts(CLASS_STATE, CLASS_INTENSITY)
 
 
-def _ledger_cells(u: np.ndarray, edges: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """Slots per (state, intensity) cell, _LEDGER_SHAPE, of the class
-    uniforms u: cell j and up hold the uniforms at or above edges[j-1].
-    hits is a scratch boolean array of u's shape."""
-    at_least = [u.size]
-    at_least += [np.count_nonzero(np.greater_equal(u, e, out=hits)) for e in edges]
-    at_least.append(0)
-    return -np.diff(at_least).reshape(_LEDGER_SHAPE)
+def _count_at_least(u: np.ndarray, edges: np.ndarray, hits: np.ndarray) -> list[int]:
+    """Number of the class uniforms u at or above each cell edge; hits is
+    a scratch boolean array of u's shape."""
+    return [np.count_nonzero(np.greater_equal(u, e, out=hits)) for e in edges]
+
+
+def _ledger_cells(n: int, at_least: np.ndarray) -> np.ndarray:
+    """Slots per (state, intensity) cell, _LEDGER_SHAPE, of n class
+    uniforms of which at_least[j] lie at or above cell edge j: cell j
+    and up hold the uniforms at or above edge j - 1."""
+    return -np.diff([n, *at_least, 0]).reshape(_LEDGER_SHAPE)
 
 
 def _x_click_prob(
@@ -220,31 +227,68 @@ def _click_bounds(
     return z_bound, x_bound + 8 * np.finfo(float).eps
 
 
+def _classes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Slot class of each class uniform u: the number of cumulative
+    priors at or below it, edges being all of them but the last (1.0,
+    which no uniform reaches). For eleven edges, counting them is much
+    faster than a binary search per slot."""
+    below = np.greater_equal(u, edges[:, None]).view(np.uint8)
+    return below.sum(axis=0, dtype=np.uint8)
+
+
 def _candidates(
+    rng: np.random.Generator,
     dice: np.ndarray,
-    bound: float,
-    u_cls: np.ndarray,
-    cum_priors: np.ndarray,
     hits: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat slot index, die and class of each slot whose die falls below
-    bound; the class comes from the slot's class uniform."""
-    cand = np.flatnonzero(np.less(dice, bound, out=hits))
-    cls = np.searchsorted(cum_priors, u_cls.reshape(-1)[cand], side="right")
-    return cand, dice.reshape(-1)[cand], cls
-
-
-def _first_clicks(
-    slot: np.ndarray, cls: np.ndarray, slots: int, eligible: np.ndarray
+    rows: int,
+    bound: float,
+    timings: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Burst and class of the first click of each eligible burst, from
-    the flat indices of clicking slots in increasing order."""
-    burst = slot // slots
+    """Flat slot index and die of each slot, of `rows` bursts of dice,
+    whose die falls below bound. The dice are drawn block by block into
+    the reused block buffer dice, consecutive draws being the stream of
+    one draw of every row; hits is its boolean scratch."""
+    clock = time.perf_counter
+    block_rows, slots = dice.shape
+    found_slot, found_die = [], []
+    for a in range(0, rows, block_rows):
+        t0 = clock()
+        d = dice[: min(block_rows, rows - a)]
+        rng.random(out=d)
+        t1 = clock()
+        cand = np.flatnonzero(np.less(d, bound, out=hits[: len(d)]))
+        found_slot.append(cand + a * slots)
+        found_die.append(d.reshape(-1)[cand])
+        timings["uniform_fills_s"] += t1 - t0
+        timings["candidates_s"] += clock() - t1
+    return np.concatenate(found_slot), np.concatenate(found_die)
+
+
+def _first_clicks(burst: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Positions of the first click of each eligible burst, from the
+    bursts of clicking slots in increasing slot order; excluded holds the
+    servo-excluded bursts."""
     first = np.empty(burst.size, dtype=bool)
     first[:1] = True
     np.not_equal(burst[1:], burst[:-1], out=first[1:])
-    first &= eligible[burst]
-    return burst[first], cls[first]
+    if excluded.size:
+        first &= ~np.isin(burst, excluded)
+    return np.flatnonzero(first)
+
+
+def _servo_rows(
+    scenario: ScenarioConfig, starts: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Bursts of [lo, hi) that stabilization windows exclude, counted
+    from lo, given the run's servo_starts; servo_excluded is evaluated
+    only over the windows that reach into the range."""
+    near = starts[(starts < hi) & (starts + scenario.servo_bursts_per_event > lo)]
+    if near.size == 0:
+        return near
+    span = np.arange(
+        max(lo, near[0]), min(hi, near[-1] + scenario.servo_bursts_per_event)
+    )
+    return span[servo_excluded(scenario, span)] - lo
 
 
 def _run_outcome(
@@ -275,21 +319,26 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     chunk, so the realization does not depend on how work is iterated.
     Each chunk draws, in this order, the class, Z and X uniforms of all
     its slots and then the attribution uniforms of the bursts whose Z,
-    then X, detector clicked. Only candidate slots, whose die falls
-    below the bound of _click_bounds, get a class and the exact test
-    `die < click probability of the class`; every other slot cannot
-    click. The stream and every tally are therefore those of evaluating
-    the class and the click test of every slot.
+    then X, detector clicked. Uniforms are drawn in blocks of about
+    BLOCK_SLOTS slots, in whole bursts, which continue one stream: the
+    sent ledger is counted on each block of class uniforms while it is
+    in cache, and the dice pass through one reused block buffer. Only
+    candidate slots, whose die falls below the bound of _click_bounds,
+    get a class and the exact test `die < click probability of the
+    class`; every other slot cannot click. The phase, fringe parity and
+    servo eligibility of a burst are evaluated only where a candidate or
+    a first click needs them. The stream and every tally are therefore
+    those of evaluating the class and the click test of every slot.
 
     timings holds the seconds spent building the link model, walking
-    the phase, filling uniforms, evaluating candidates (with the
-    per-burst phase and eligibility), and attributing and tallying
-    clicks and the sent ledger.
+    the phase, filling uniforms, evaluating candidates and first clicks,
+    attributing first clicks to bins and tallying them, and counting the
+    sent ledger.
     """
     clock = time.perf_counter
     timings = dict.fromkeys(
         ("link_model_s", "drift_walk_s", "uniform_fills_s", "candidates_s",
-         "attribution_tally_s"),
+         "attribution_s", "ledger_s"),
         0.0,
     )
     t0 = clock()
@@ -303,69 +352,86 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     n_chunks = (n_bursts + CHUNK_BURSTS - 1) // CHUNK_BURSTS
     theta_rng, *chunk_rngs = root.spawn(1 + n_chunks)
     walks = _theta_walk(scenario, theta_rng)
+    starts = servo_starts(scenario)
 
-    cum_priors = np.cumsum(model.priors)
-    cum_priors[-1] = 1.0
-    cell_edges = cum_priors[_CELL_STARTS - 1]
-    qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
+    class_edges = np.cumsum(model.priors)[:-1]
+    cell_edges = class_edges[_CELL_STARTS - 1]
+    static_z = static_outcome(model.z_table)
+    qz_any = 1.0 - static_z[:, COL_NONE]
+    # the direct path has no phase term: one row per class serves every
+    # Z click
+    z_cum = _click_cum(static_z.T)
     kx, eta_b = x_none_terms(model.x_table)
     z_bound, x_bound = _click_bounds(qz_any, kx, eta_b)
 
     acc = _Accumulator()
     eligible_total = 0
+    # eligible slots whose class uniform lies at or above each cell edge
+    at_least = np.zeros(len(cell_edges), np.int64)
     # buffers reused by every chunk, so that the allocator does not map
-    # and unmap them chunk by chunk
-    shape = (min(CHUNK_BURSTS, n_bursts), slots)
-    u_cls_buf = np.empty(shape)
-    dice_buf = np.empty(shape)
-    hits_buf = np.empty(shape, dtype=bool)
+    # and unmap them chunk by chunk: the class uniforms of a chunk, and
+    # one block of dice
+    block_rows = max(1, BLOCK_SLOTS // slots)
+    u_cls_buf = np.empty((min(CHUNK_BURSTS, n_bursts), slots))
+    dice = np.empty((min(block_rows, n_bursts), slots))
+    hits = np.empty(dice.shape, dtype=bool)
 
     for chunk, rng in enumerate(chunk_rngs):
         t0 = clock()
         walk = next(walks)
-        t1 = clock()
+        timings["drift_walk_s"] += clock() - t0
         lo = chunk * CHUNK_BURSTS
-        idx = np.arange(lo, lo + walk.size, dtype=np.int64)
-        nb = idx.size
-        eligible = ~servo_excluded(scenario, idx)
-        parity = burst_parity(idx, block)
-        cos_b = np.cos(math.pi * parity + walk)
-        u_cls, dice, hits = u_cls_buf[:nb], dice_buf[:nb], hits_buf[:nb]
-        t2 = clock()
-        rng.random(out=u_cls)
-        rng.random(out=dice)
-        t3 = clock()
-        slot, u, cls = _candidates(dice, z_bound, u_cls, cum_priors, hits)
-        click = u < qz_any[cls]
-        z_first = _first_clicks(slot[click], cls[click], slots, eligible)
-        t4 = clock()
-        rng.random(out=dice)
-        t5 = clock()
-        slot, u, cls = _candidates(dice, x_bound, u_cls, cum_priors, hits)
-        click = u < _x_click_prob(kx, eta_b, cls, cos_b[slot // slots])
-        x_first = _first_clicks(slot[click], cls[click], slots, eligible)
-        t6 = clock()
+        nb = walk.size
+        u_cls = u_cls_buf[:nb]
+        for a in range(0, nb, block_rows):
+            t0 = clock()
+            u_block = u_cls[a : a + block_rows]
+            rng.random(out=u_block)
+            t1 = clock()
+            at_least += _count_at_least(u_block, cell_edges, hits[: len(u_block)])
+            timings["uniform_fills_s"] += t1 - t0
+            timings["ledger_s"] += clock() - t1
+        t0 = clock()
+        excluded = _servo_rows(scenario, starts, lo, lo + nb)
+        if excluded.size:
+            u_out = u_cls[excluded]
+            at_least -= _count_at_least(u_out, cell_edges, np.empty(u_out.shape, bool))
+        eligible_total += nb - excluded.size
+        timings["ledger_s"] += clock() - t0
 
-        n_eligible = int(eligible.sum())
-        eligible_total += n_eligible
-        if n_eligible == nb:
-            acc.sent += _ledger_cells(u_cls, cell_edges, hits)
-        elif n_eligible:
-            acc.sent += _ledger_cells(
-                u_cls[eligible], cell_edges, hits[:n_eligible]
-            )
-        for detector, (rows, c_sel) in ((Basis.Z, z_first), (Basis.X, x_first)):
-            if rows.size == 0:
-                continue
-            u_att = rng.random(rows.size)
-            bins = _attribute_bins(model, detector, c_sel, cos_b[rows], u_att)
-            _tally_detector(acc, detector, c_sel, bins, parity[rows])
-        t7 = clock()
-        timings["drift_walk_s"] += t1 - t0
-        timings["uniform_fills_s"] += (t3 - t2) + (t5 - t4)
-        timings["candidates_s"] += (t2 - t1) + (t4 - t3) + (t6 - t5)
-        timings["attribution_tally_s"] += t7 - t6
+        z_slot, z_die = _candidates(rng, dice, hits, nb, z_bound, timings)
+        x_slot, x_die = _candidates(rng, dice, hits, nb, x_bound, timings)
 
+        t0 = clock()
+        u_flat = u_cls.reshape(-1)
+        cls = _classes(u_flat[z_slot], class_edges)
+        click = np.flatnonzero(z_die < qz_any[cls])
+        burst = z_slot[click] // slots
+        first = _first_clicks(burst, excluded)
+        z_cls = cls[click[first]]
+        z_parity = burst_parity(lo + burst[first], block)
+
+        cls = _classes(u_flat[x_slot], class_edges)
+        burst = x_slot // slots
+        parity = burst_parity(lo + burst, block)
+        cos_t = np.cos(math.pi * parity + walk[burst])
+        click = np.flatnonzero(x_die < _x_click_prob(kx, eta_b, cls, cos_t))
+        first = click[_first_clicks(burst[click], excluded)]
+        x_cls, x_cos, x_parity = cls[first], cos_t[first], parity[first]
+        t1 = clock()
+        timings["candidates_s"] += t1 - t0
+
+        if z_cls.size:
+            u_att = rng.random(z_cls.size)
+            bins = _bins(np.take(z_cum, z_cls, axis=1), u_att)
+            _tally_detector(acc, Basis.Z, z_cls, bins, z_parity)
+        if x_cls.size:
+            u_att = rng.random(x_cls.size)
+            cum = _click_cum(outcome_probs(model.x_table, x_cls, x_cos).T)
+            _tally_detector(acc, Basis.X, x_cls, _bins(cum, u_att), x_parity)
+        timings["attribution_s"] += clock() - t1
+
+    acc.sent += _ledger_cells(eligible_total * slots, at_least)
     return _run_outcome(scenario, acc, eligible_total, timings)
 
 
@@ -425,7 +491,13 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
                 x_groups.append(pulses)
         gated = [(b, s) for s in range(slots)]
         theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
-        ifm_b = dataclasses.replace(ifm, theta=theta_b)
+        ifm_b = InterferometerModel(
+            delay=ifm.delay,
+            visibility=ifm.visibility,
+            theta=theta_b,
+            drift_sigma=ifm.drift_sigma,
+            stabilization_interval=ifm.stabilization_interval,
+        )
         events.extend(detect_z(z_pulses, det, schedule, det_rng_z, framing, gated))
         events.extend(
             detect_x(x_groups, ifm_b, det, schedule, det_rng_x, framing, gated)

@@ -67,21 +67,32 @@ def _acceptance_region(
 class GateTable:
     """Per-class gate description for one detector.
 
-    Component arrays are padded to width 3 and ordered by position;
-    mean(theta) = mean_const + mean_cos * cos(theta). comp_w[c, i, :] is
-    the classification distribution of component i's click over the four
-    outcome columns. dark_span[c, k, :] is the per-gate probability mass
-    of a dark landing in race interval k and classifying into each
-    column; dark intervals are bounded by dark_edges[c, :].
+    Arrays are component-major, the class last, so that outcome_probs
+    gathers whole component rows for many slots at once. Components are
+    padded to 3 and ordered by position; mean(theta) = mean_const +
+    mean_cos * cos(theta). comp_w[i, :, c] is the classification
+    distribution of component i's click over the four outcome columns.
+    dark_span[k, :, c] is the per-gate probability mass of a dark landing
+    in race interval k and classifying into each column; dark intervals
+    are bounded by dark_edges[:, c]. Padded components have zero means.
+
+    The dark-race factors that depend on the class alone are kept
+    evaluated: dark_before[i, c], the chance that no dark precedes
+    component i; dark_win[k, c], the chance that the first dark lands in
+    interval k; dark_width[k, c], the interval's share of the gate. An
+    empty interval has dark_win 0 and dark_width 1.
     """
 
     n_comp: np.ndarray        # (12,) int
-    pos: np.ndarray           # (12, 3) float, ps within gate
-    mean_const: np.ndarray    # (12, 3)
-    mean_cos: np.ndarray      # (12, 3)
-    comp_w: np.ndarray        # (12, 3, 4)
-    dark_edges: np.ndarray    # (12, 5) interval boundaries, ps
-    dark_span: np.ndarray     # (12, 4, 4) probability mass per interval x column
+    pos: np.ndarray           # (3, 12) float, ps within gate
+    mean_const: np.ndarray    # (3, 12)
+    mean_cos: np.ndarray      # (3, 12)
+    comp_w: np.ndarray        # (3, 4, 12)
+    dark_edges: np.ndarray    # (5, 12) interval boundaries, ps
+    dark_span: np.ndarray     # (4, 4, 12) probability mass per interval x column
+    dark_before: np.ndarray   # (3, 12)
+    dark_win: np.ndarray      # (4, 12)
+    dark_width: np.ndarray    # (4, 12)
     eta: float
     lam_dark: float           # expected darks per gate
     gate_ps: float
@@ -98,12 +109,12 @@ def _build_gate_table(
     regions = {b: _acceptance_region(c, det) for b, c in bin_centers.items()}
 
     n_comp = np.zeros(N_CLASSES, dtype=np.int64)
-    pos = np.zeros((N_CLASSES, 3))
-    a_arr = np.zeros((N_CLASSES, 3))
-    b_arr = np.zeros((N_CLASSES, 3))
-    w_arr = np.zeros((N_CLASSES, 3, 4))
-    edges = np.zeros((N_CLASSES, 5))
-    spans = np.zeros((N_CLASSES, 4, 4))
+    pos = np.zeros((3, N_CLASSES))
+    a_arr = np.zeros((3, N_CLASSES))
+    b_arr = np.zeros((3, N_CLASSES))
+    w_arr = np.zeros((3, 4, N_CLASSES))
+    edges = np.zeros((5, N_CLASSES))
+    spans = np.zeros((4, 4, N_CLASSES))
 
     for c in range(N_CLASSES):
         comps = sorted(x for x in components[c] if x[1] > 0.0 or x[2] != 0.0)
@@ -111,24 +122,24 @@ def _build_gate_table(
             raise DomainError("a gate holds at most three photon components")
         n_comp[c] = len(comps)
         for i, (x, a, b) in enumerate(comps):
-            pos[c, i] = x
-            a_arr[c, i] = a
-            b_arr[c, i] = b
+            pos[i, c] = x
+            a_arr[i, c] = a
+            b_arr[i, c] = b
             for bn, (lo, hi) in regions.items():
                 if sigma > 0.0:
                     w = _phi((hi - x) / sigma) - _phi((lo - x) / sigma)
                 else:
                     w = 1.0 if lo <= x < hi else 0.0
-                w_arr[c, i, bn] = w
-            w_arr[c, i, COL_OUTSIDE] = max(
-                0.0, 1.0 - w_arr[c, i, : COL_OUTSIDE + 1].sum()
+                w_arr[i, bn, c] = w
+            w_arr[i, COL_OUTSIDE, c] = max(
+                0.0, 1.0 - w_arr[i, : COL_OUTSIDE + 1, c].sum()
             )
 
-        bounds = [0.0] + [pos[c, i] for i in range(n_comp[c])] + [gate]
+        bounds = [0.0] + [pos[i, c] for i in range(n_comp[c])] + [gate]
         bounds += [gate] * (5 - len(bounds))
-        edges[c] = bounds
+        edges[:, c] = bounds
         for k in range(4):
-            lo_k, hi_k = edges[c, k], edges[c, k + 1]
+            lo_k, hi_k = edges[k, c], edges[k + 1, c]
             if hi_k <= lo_k:
                 continue
             total = (hi_k - lo_k) / gate
@@ -136,10 +147,14 @@ def _build_gate_table(
             for bn, (lo, hi) in regions.items():
                 ov = max(0.0, min(hi, hi_k, gate) - max(lo, lo_k, 0.0))
                 frac = ov / gate
-                spans[c, k, bn] = frac
+                spans[k, bn, c] = frac
                 binned += frac
-            spans[c, k, COL_OUTSIDE] = max(0.0, total - binned)
+            spans[k, COL_OUTSIDE, c] = max(0.0, total - binned)
 
+    lam = det.dark_prob_per_gate
+    decay = np.exp(-lam * edges / gate)
+    widths = (edges[1:] - edges[:4]) / gate
+    is_open = widths > 0.0
     return GateTable(
         n_comp=n_comp,
         pos=pos,
@@ -148,8 +163,11 @@ def _build_gate_table(
         comp_w=w_arr,
         dark_edges=edges,
         dark_span=spans,
+        dark_before=np.exp(-lam * pos / gate),
+        dark_win=np.where(is_open, decay[:4] - decay[1:], 0.0),
+        dark_width=np.where(is_open, widths, 1.0),
         eta=det.efficiency,
-        lam_dark=det.dark_prob_per_gate,
+        lam_dark=lam,
         gate_ps=gate,
     )
 
@@ -232,50 +250,52 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
 def outcome_probs(
     table: GateTable, cls: np.ndarray, cos_t: np.ndarray
 ) -> np.ndarray:
-    """First-click outcome distribution, shape (n, 5).
+    """First-click outcome distribution, shape (n, 5), a transposed view
+    of the component-major (5, n) array it is computed in.
 
     Race model: photon component i clicks with q_i = 1 - exp(-eta*m_i)
     and competes at its nominal position; darks arrive as a uniform
     Poisson stream over the gate. Winner probabilities are exact
     exponential expressions in the partial mean sums; jitter enters only
-    through the per-component classification weights.
+    through the per-component classification weights. Sums over
+    components and race intervals run in index order.
     """
     cls = np.asarray(cls, dtype=np.int64)
     cos_t = np.broadcast_to(np.asarray(cos_t, dtype=np.float64), cls.shape)
-    n = cls.shape[0]
-    out = np.zeros((n, 5))
+    out = np.empty((COL_NONE + 1, cls.shape[0]))
 
-    means = table.mean_const[cls] + table.mean_cos[cls] * cos_t[:, None]  # (n,3)
+    def take(arr: np.ndarray) -> np.ndarray:
+        return np.take(arr, cls, axis=-1)
+
+    means = take(table.mean_const) + take(table.mean_cos) * cos_t  # (3, n)
     means = np.maximum(means, 0.0)
-    active = np.arange(3)[None, :] < table.n_comp[cls][:, None]
-    means = np.where(active, means, 0.0)
-
-    lam = table.lam_dark
-    gate = table.gate_ps
-    prefix = np.cumsum(means, axis=1) - means  # sum over j < i
+    prefix_full = means.copy()  # sums through component i
+    for i in (1, 2):
+        prefix_full[i] += prefix_full[i - 1]
+    prefix = prefix_full - means  # sum over j < i
     q_i = -np.expm1(-table.eta * means)
     alive_photon = np.exp(-table.eta * prefix)
-    dark_before = (
-        np.exp(-lam * table.pos[cls] / gate) if lam > 0.0 else np.ones((n, 3))
-    )
-    win_photon = np.where(active, q_i * alive_photon * dark_before, 0.0)  # (n,3)
-    out[:, :4] += np.einsum("ni,nib->nb", win_photon, table.comp_w[cls])
+    win_photon = q_i * alive_photon * take(table.dark_before)  # (3, n)
+    clicks = out[:COL_NONE]
+    weights = take(table.comp_w)  # (3, 4, n)
+    np.multiply(win_photon[0], weights[0], out=clicks)
+    for i in (1, 2):
+        clicks += win_photon[i] * weights[i]
 
-    if lam > 0.0:
-        edges = table.dark_edges[cls]  # (n,5)
-        decay = np.exp(-lam * edges / gate)
-        dark_win = decay[:, :4] - decay[:, 1:]  # (n,4) mass per interval
+    if table.lam_dark > 0.0:
         # photons at or before the interval must all miss
-        prefix_full = np.cumsum(means, axis=1)  # (n,3) sums through comp i
-        alive_dark = np.ones((n, 4))
-        alive_dark[:, 1:] = np.exp(-table.eta * prefix_full)
-        widths = (edges[:, 1:] - edges[:, :4]) / gate
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(widths > 0.0, dark_win * alive_dark / widths, 0.0)
-        out[:, :4] += np.einsum("nk,nkb->nb", cond, table.dark_span[cls])
+        alive_dark = np.empty((4, cls.shape[0]))
+        alive_dark[0] = 1.0
+        np.exp(-table.eta * prefix_full, out=alive_dark[1:])
+        cond = take(table.dark_win) * alive_dark / take(table.dark_width)
+        spans = take(table.dark_span)  # (4, 4, n)
+        dark = cond[0] * spans[0]
+        for k in (1, 2, 3):
+            dark += cond[k] * spans[k]
+        clicks += dark
 
-    out[:, COL_NONE] = np.exp(-lam - table.eta * means.sum(axis=1))
-    return out
+    out[COL_NONE] = np.exp(-table.lam_dark - table.eta * prefix_full[2])
+    return out.T
 
 
 def static_outcome(table: GateTable) -> np.ndarray:
@@ -435,8 +455,8 @@ def _class_key_probs(
 def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-class no-click factorization on the interferometer detector:
     P(none | c, theta) = K[c] * exp(-etaB[c] * cos(theta))."""
-    k = np.exp(-table.lam_dark - table.eta * table.mean_const.sum(axis=1))
-    eta_b = table.eta * table.mean_cos.sum(axis=1)
+    k = np.exp(-table.lam_dark - table.eta * table.mean_const.sum(axis=0))
+    eta_b = table.eta * table.mean_cos.sum(axis=0)
     return k, eta_b
 
 
@@ -461,7 +481,7 @@ def _x_key_probs(
         none_sum += w * (np.exp(-g * cos_t) if g != 0.0 else 1.0)
     q_any = 1.0 - none_sum
 
-    phased = model.x_table.mean_cos.any(axis=1)
+    phased = model.x_table.mean_cos.any(axis=0)
     fixed = _X_COUNTED & ~phased
     static_x = static_outcome(model.x_table)
     p = _class_key_probs(

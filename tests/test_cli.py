@@ -186,7 +186,8 @@ class TestSimulate:
             "drift_walk_s",
             "uniform_fills_s",
             "candidates_s",
-            "attribution_tally_s",
+            "attribution_s",
+            "ledger_s",
             "key_analysis_s",
         }
         assert all(v >= 0.0 for v in timings.values())

@@ -47,7 +47,7 @@ from tbqkd.slotmodel import (
     x_none_terms,
 )
 
-from conftest import small_scenario
+from conftest import row_major_attribute_bins, row_major_outcome_probs, small_scenario
 
 
 def assert_within_4_sigma(outcome, expected):
@@ -372,9 +372,11 @@ class TestSimulateAndAnalyze:
 
 
 def per_slot_run(scenario):
-    """The batch engine evaluated slot by slot: a class for every slot
-    and a click test for every slot and detector. run_simulation must
-    reproduce it exactly, from the same RNG stream."""
+    """The batch engine evaluated slot by slot: a class for every slot,
+    a click test for every slot and detector, the phase, parity and
+    eligibility of every burst, and bins attributed through the
+    row-major reference. run_simulation must reproduce it exactly, from
+    the same RNG stream."""
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst
     n_bursts = scenario.n_bursts
@@ -418,8 +420,8 @@ def per_slot_run(scenario):
             first = clicked[rows].argmax(axis=1)
             c_sel = cls[rows, first]
             u_att = rng.random(rows.size)
-            bins = pipeline._attribute_bins(
-                model, detector, c_sel, cos_b[rows], u_att
+            bins = row_major_attribute_bins(
+                model.table(detector), c_sel, cos_b[rows], u_att
             )
             pipeline._tally_detector(acc, detector, c_sel, bins, parity[rows])
 
@@ -429,6 +431,34 @@ def per_slot_run(scenario):
 def detector_scenario(**changes):
     det = dataclasses.replace(small_scenario().detector, **changes)
     return small_scenario(detector=det)
+
+
+def servo_straddle_scenario():
+    """A 600-burst stabilization window that starts 300 bursts before
+    the end of the first chunk and runs on into the second."""
+    period = small_scenario().plan.burst_period
+    ifm = dataclasses.replace(
+        small_scenario().interferometer,
+        stabilization_interval=(CHUNK_BURSTS - 300) * period,
+    )
+    sc = small_scenario(
+        duration=1.2, interferometer=ifm, servo_bursts_per_event=600
+    )
+    assert servo_starts(sc).tolist() == [0, CHUNK_BURSTS - 300]
+    return sc
+
+
+def tail_block_scenario():
+    """Seven slots per burst, which do not divide a block of uniforms:
+    each full chunk ends in a one-burst tail block, and the short last
+    chunk is a single block."""
+    sc = small_scenario(
+        duration=0.8, params=ProtocolParams(symbols_per_burst=7)
+    )
+    rows = pipeline.BLOCK_SLOTS // 7
+    assert CHUNK_BURSTS % rows == 1 and CHUNK_BURSTS < sc.n_bursts
+    assert sc.n_bursts - CHUNK_BURSTS < rows
+    return sc
 
 
 IDENTITY_SCENARIOS = {
@@ -446,6 +476,8 @@ IDENTITY_SCENARIOS = {
         params=ProtocolParams(p_mu1=0.99, p_z=0.3)
     ),
     "mid_chunk_end": lambda: small_scenario(duration=1.3771),
+    "servo_straddles_chunk": servo_straddle_scenario,
+    "tail_block": tail_block_scenario,
 }
 
 
@@ -486,6 +518,47 @@ class TestCandidateEvaluation:
             assert (q_x <= x_bound).all()
 
 
+class TestAttribution:
+    """Bins come from a per-class table on the direct path and from
+    outcome_probs at each click's phase on the interferometer path;
+    both must equal the row-major attribution of every click."""
+
+    @staticmethod
+    def clicks(table, seed):
+        rng = np.random.default_rng(seed)
+        cos_t = np.concatenate([[1.0, -1.0, 0.0], rng.uniform(-1.0, 1.0, 997)])
+        cls = np.repeat(np.arange(N_CLASSES), cos_t.size)
+        cos_t = np.tile(cos_t, N_CLASSES)
+        u = rng.random(cls.size)
+        # uniforms exactly on each class's cumulative bin edges
+        cum = pipeline._click_cum(static_outcome(table).T)
+        u[: 3 * N_CLASSES] = cum.T.ravel()
+        cls[: 3 * N_CLASSES] = np.repeat(np.arange(N_CLASSES), 3)
+        return cls, cos_t, u
+
+    @pytest.mark.parametrize("preset", ["link-7db", "link-14db"])
+    def test_z_table_equals_the_per_click_rows(self, preset):
+        table = build_link_model(load_preset(preset)).z_table
+        cls, cos_t, u = self.clicks(table, seed=1)
+        z_cum = pipeline._click_cum(static_outcome(table).T)
+        per_click = row_major_outcome_probs(table, cls, cos_t)
+        want = np.cumsum(per_click[:, :3] / (1.0 - per_click[:, 4:]), axis=1)
+        np.testing.assert_array_equal(np.take(z_cum, cls, axis=1), want.T)
+        np.testing.assert_array_equal(
+            pipeline._bins(np.take(z_cum, cls, axis=1), u),
+            row_major_attribute_bins(table, cls, cos_t, u),
+        )
+
+    @pytest.mark.parametrize("preset", ["link-7db", "link-14db"])
+    def test_x_bins_equal_the_row_major_attribution(self, preset):
+        table = build_link_model(load_preset(preset)).x_table
+        cls, cos_t, u = self.clicks(table, seed=2)
+        cum = pipeline._click_cum(pipeline.outcome_probs(table, cls, cos_t).T)
+        np.testing.assert_array_equal(
+            pipeline._bins(cum, u), row_major_attribute_bins(table, cls, cos_t, u)
+        )
+
+
 class TestLedgerCells:
     def test_cell_starts_follow_class_index(self):
         starts = pipeline._CELL_STARTS
@@ -509,20 +582,31 @@ class TestLedgerCells:
         with pytest.raises(ValueError, match="ledger"):
             pipeline._cell_starts(CLASS_STATE[order], CLASS_INTENSITY[order])
 
-    def test_threshold_counts_equal_class_counts(self):
+    @staticmethod
+    def class_uniforms():
+        """Cumulative priors of a scenario with sparse cells, uniforms
+        exactly on each of them (where the class lookup, side="right",
+        moves to the next class) among random ones, and their classes."""
         model = build_link_model(
             small_scenario(params=ProtocolParams(p_mu1=0.99, p_z=0.3))
         )
         cum_priors = np.cumsum(model.priors)
         cum_priors[-1] = 1.0
         u = np.random.default_rng(3).random((400, 20))
-        # uniforms exactly on each cumulative prior, where the class
-        # lookup (side="right") moves to the next class
         u.flat[: N_CLASSES - 1] = cum_priors[:-1]
-        cls = np.searchsorted(cum_priors, u, side="right")
+        return cum_priors, u, np.searchsorted(cum_priors, u, side="right")
+
+    def test_threshold_counts_equal_class_counts(self):
+        cum_priors, u, cls = self.class_uniforms()
         want = np.bincount(cls.ravel(), minlength=N_CLASSES)
-        got = pipeline._ledger_cells(
+        at_least = pipeline._count_at_least(
             u, cum_priors[pipeline._CELL_STARTS - 1], np.empty(u.shape, bool)
         )
+        got = pipeline._ledger_cells(u.size, at_least)
         np.testing.assert_array_equal(got, want.reshape(3, 2, 2).sum(axis=2))
+
+    def test_edge_counts_equal_the_binary_search(self):
+        cum_priors, u, cls = self.class_uniforms()
+        got = pipeline._classes(u.ravel(), cum_priors[:-1])
+        np.testing.assert_array_equal(got, cls.ravel())
 

@@ -23,6 +23,7 @@ from tbqkd import (
     State,
     analytic_expected_tallies,
     build_link_model,
+    load_preset,
 )
 from tbqkd.errors import DomainError
 from tbqkd.sift import TALLY_KEYS
@@ -51,7 +52,7 @@ from tbqkd.slotmodel import (
 )
 from tbqkd.slotmodel import _x_key_probs
 
-from conftest import small_scenario
+from conftest import row_major_outcome_probs, small_scenario
 
 
 def ideal_source() -> "SourceConfig":
@@ -120,7 +121,26 @@ class TestDutyFactor:
         assert out[1] == pytest.approx(sum(0.8**s for s in range(10)))
 
 
+def phase_grid(n_random: int, seed: int) -> np.ndarray:
+    """cos(theta) at the fringe extremes, at quadrature and at random
+    phases."""
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_random)
+    return np.concatenate([[1.0, -1.0, 0.0], np.cos(theta)])
+
+
 class TestOutcomeProbs:
+    @pytest.mark.parametrize("preset", ["link-7db", "link-14db"])
+    @pytest.mark.parametrize("detector", [Basis.Z, Basis.X], ids=["Z", "X"])
+    def test_matches_the_row_major_reference(self, preset, detector):
+        # every class at every phase, bit for bit: the component-major
+        # sums run in the reference's order
+        table = build_link_model(load_preset(preset)).table(detector)
+        cos_t = np.tile(phase_grid(500, seed=int(detector)), N_CLASSES)
+        cls = np.repeat(np.arange(N_CLASSES), cos_t.size // N_CLASSES)
+        got = outcome_probs(table, cls, cos_t)
+        assert got.shape == (cls.size, COL_NONE + 1)
+        np.testing.assert_array_equal(got, row_major_outcome_probs(table, cls, cos_t))
+
     def test_rows_are_distributions(self):
         model = build_link_model(small_scenario())
         rng = np.random.default_rng(5)
