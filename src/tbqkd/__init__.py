@@ -17,7 +17,6 @@ from .errors import (
     EmptyGridError,
     EmptyTallyError,
     EncodingOverflowError,
-    InfeasibleTargetError,
     InvalidWordError,
     ScheduleViolationError,
     TbqkdError,
@@ -68,7 +67,6 @@ from .pipeline import (
     simulate_and_analyze,
 )
 from .ppg import (
-    CANONICAL_WORDS,
     BurstPlan,
     BurstSchedule,
     ClockConfig,
@@ -97,7 +95,6 @@ from .sift import (
     SiftResult,
     TallyCounts,
     qber_x,
-    qber_x_of,
     qber_z,
     read_tally_csv,
     sift,
@@ -109,6 +106,6 @@ from .slotmodel import (
     analytic_expected_tallies,
     build_link_model,
 )
-from .source import OpticalPulse, SourceConfig, calibrate_output, modulate
+from .source import OpticalPulse, SourceConfig, modulate
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import yaml
@@ -41,7 +42,7 @@ YIELD_NOTE = (
 )
 
 
-def _fail_config(message: str) -> None:
+def _fail_config(message: str) -> NoReturn:
     click.echo(json.dumps({"error": "config", "message": message}), err=True)
     sys.exit(2)
 
@@ -57,7 +58,6 @@ def _load_config(config: str | None, preset: str | None) -> ScenarioConfig:
         return ScenarioConfig()
     except (TbqkdError, OSError, yaml.YAMLError) as exc:
         _fail_config(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _apply_overrides(
@@ -89,7 +89,6 @@ def _run(cfg: ScenarioConfig, engine: str) -> tuple[RunOutcome, KeyRateReport]:
         return simulate_and_analyze(cfg, engine=engine)
     except TbqkdError as exc:
         _fail_config(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _report_payload(
@@ -180,7 +179,6 @@ def pattern(
         cycle = [State[name] for name in names]
     except KeyError as exc:
         _fail_config(f"unknown state {exc.args[0]!r}; choose from Z0, Z1, XPlus")
-        raise AssertionError("unreachable")
     if bursts < 1:
         _fail_config(f"--bursts must be >= 1, got {bursts}")
     try:
@@ -188,7 +186,6 @@ def pattern(
         pulses = list(pattern_timeline(cycle, plan, cfg.framing))
     except TbqkdError as exc:
         _fail_config(str(exc))
-        raise AssertionError("unreachable")
     out_path = _out_dir(out, cfg) / "pattern.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -260,7 +257,6 @@ def sweep(
         losses = sorted(float(v) for v in loss_list.split(",") if v.strip())
     except ValueError:
         _fail_config(f"--loss-db must be a comma-separated float list, got {loss_list!r}")
-        raise AssertionError("unreachable")
     if not losses:
         _fail_config("--loss-db list is empty")
     rows = []
@@ -297,7 +293,6 @@ def _parse_axis(text: str | None, fallback: float, flag: str) -> list[float]:
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         _fail_config(f"{flag} must be a comma-separated float list, got {text!r}")
-        raise AssertionError("unreachable")
     if not vals:
         _fail_config(f"{flag} list is empty")
     return vals
@@ -335,7 +330,6 @@ def optimize(
         result = optimize_params(cfg, grid)
     except TbqkdError as exc:
         _fail_config(str(exc))
-        raise AssertionError("unreachable")
     out_root = _out_dir(out, cfg)
     write_grid_csv(result.points, out_root / "grid.csv")
     best = {

@@ -129,10 +129,6 @@ class ScenarioConfig:
     def schedule(self) -> BurstSchedule:
         return plan_bursts(self.plan, self.clock)
 
-    @property
-    def nominal_symbols(self) -> int:
-        return self.n_bursts * self.params.symbols_per_burst
-
     def replace(self, **kwargs: Any) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
 

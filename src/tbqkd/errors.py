@@ -37,10 +37,6 @@ class UnmatchedEventError(TbqkdError, ValueError):
     """A detection event points at a slot with no sent record."""
 
 
-class InfeasibleTargetError(TbqkdError, ValueError):
-    """No clock divider setting reaches the requested output frequency."""
-
-
 class EmptyTallyError(TbqkdError, ValueError):
     """A tally has no events where the analysis requires at least one."""
 

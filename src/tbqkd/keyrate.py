@@ -249,17 +249,6 @@ class KeyRateReport:
             "yield": self.yield_,
         }
 
-    def extras_dict(self) -> dict[str, object]:
-        return {
-            "q_x": self.q_x,
-            "s_x1_lower": self.s_x1_lower,
-            "v_x1_upper": self.v_x1_upper,
-            "s_z0_upper": self.s_z0_upper,
-            "degenerate": self.degenerate,
-            "elapsed_s": self.elapsed_s,
-            "symbols_sent": self.symbols_sent,
-        }
-
 
 def keyrate(
     t: TallyCounts,

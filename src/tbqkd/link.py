@@ -127,13 +127,13 @@ class InterferometerModel:
     """Unbalanced interferometer for the X path.
 
     delay is the arm unbalance and must equal the early/late pulse
-    separation; theta is the current servo phase; drift_sigma drives the
-    random walk of theta between stabilizations.
+    separation. The phase between the arms is not a setting: each run
+    walks it by drift_sigma per square-root second and the servo locks
+    it back every stabilization_interval seconds.
     """
 
     delay: float = 1.25e-9
     visibility: float = 0.98
-    theta: float = 0.0
     drift_sigma: float = 0.01
     stabilization_interval: float = 100.0
 
@@ -181,9 +181,11 @@ def transmit(
 def interfere(
     symbol_pulses: Sequence[OpticalPulse],
     ifm: InterferometerModel,
+    theta: float,
     tolerance_ps: float | None = None,
 ) -> list[OpticalPulse]:
-    """Three-bin output of the unbalanced interferometer for one symbol.
+    """Three-bin output of the unbalanced interferometer for one symbol
+    at arm phase theta.
 
     Inputs are the symbol's pulses (early and/or late, leakage included).
     Outputs at t_e, t_e + delay, t_e + 2*delay carry means
@@ -216,7 +218,7 @@ def interfere(
 
     mu_e = early[0].mean_photons if early else 0.0
     mu_l = late[0].mean_photons if late else 0.0
-    cross = 0.5 * ifm.visibility * math.sqrt(mu_e * mu_l) * math.cos(ifm.theta)
+    cross = 0.5 * ifm.visibility * math.sqrt(mu_e * mu_l) * math.cos(theta)
     central = max(0.0, (mu_e + mu_l) / 4.0 + cross)
 
     def out(start_ps: int, mean: float, label: Bin) -> OpticalPulse:
@@ -338,6 +340,7 @@ def detect_z(
 def detect_x(
     symbol_pulse_groups: Iterable[Sequence[OpticalPulse]],
     ifm: InterferometerModel,
+    theta: float,
     det: DetectorModel,
     schedule: BurstSchedule,
     rng: np.random.Generator,
@@ -345,12 +348,12 @@ def detect_x(
     gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Interferometer-path detection: each symbol's pulses interfere into
-    three bins, then hit the gated detector. The arm delay may differ
-    from the pulse separation by up to one TDC step, the tolerance a
-    scenario is loaded with."""
+    three bins at arm phase theta, then hit the gated detector. The arm
+    delay may differ from the pulse separation by up to one TDC step,
+    the tolerance a scenario is loaded with."""
     out_pulses: list[OpticalPulse] = []
     for group in symbol_pulse_groups:
-        out_pulses.extend(interfere(group, ifm, det.tdc_resolution_ps))
+        out_pulses.extend(interfere(group, ifm, theta, det.tdc_resolution_ps))
     return detect(
         out_pulses, det, schedule, rng, framing.x_offsets, Basis.X, gated_slots
     )
@@ -381,9 +384,7 @@ def _wrap_pi(x: float) -> float:
 
 
 def stabilize(
-    ifm: InterferometerModel,
     probe: Callable[[float], float],
-    rng: np.random.Generator | None = None,
     max_evals: int = 64,
     tol: float = 0.01,
     delta: float = 0.02,

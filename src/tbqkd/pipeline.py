@@ -48,7 +48,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import ScheduleViolationError
 from .keyrate import KeyRateReport, keyrate
-from .link import InterferometerModel, detect_x, detect_z, receiver_basis, transmit
+from .link import detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
 from .sift import TALLY_KEYS, SIDEBAND, SiftResult, TallyCounts, count_clicks, sift
@@ -293,20 +293,18 @@ def _servo_rows(
 
 def _run_outcome(
     scenario: ScenarioConfig,
-    acc: _Accumulator,
+    stats: SiftResult,
     eligible_total: int,
     timings: dict[str, float],
 ) -> RunOutcome:
-    symbols_sent = eligible_total * scenario.params.symbols_per_burst
-    elapsed = symbols_sent * scenario.params.symbol_period
-    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
+    """Outcome of a run whose eligible_total bursts sifted into stats."""
     return RunOutcome(
         tallies=stats.tallies,
         sift_stats=stats,
         eligible_bursts=eligible_total,
         total_bursts=scenario.n_bursts,
-        symbols_sent=symbols_sent,
-        elapsed_s=elapsed,
+        symbols_sent=eligible_total * scenario.params.symbols_per_burst,
+        elapsed_s=stats.tallies.elapsed_s,
         timings=timings,
     )
 
@@ -432,7 +430,9 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         timings["attribution_s"] += clock() - t1
 
     acc.sent += _ledger_cells(eligible_total * slots, at_least)
-    return _run_outcome(scenario, acc, eligible_total, timings)
+    elapsed = eligible_total * slots * scenario.params.symbol_period
+    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
+    return _run_outcome(scenario, stats, eligible_total, timings)
 
 
 def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
@@ -491,43 +491,25 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
                 x_groups.append(pulses)
         gated = [(b, s) for s in range(slots)]
         theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
-        ifm_b = InterferometerModel(
-            delay=ifm.delay,
-            visibility=ifm.visibility,
-            theta=theta_b,
-            drift_sigma=ifm.drift_sigma,
-            stabilization_interval=ifm.stabilization_interval,
-        )
         events.extend(detect_z(z_pulses, det, schedule, det_rng_z, framing, gated))
         events.extend(
-            detect_x(x_groups, ifm_b, det, schedule, det_rng_x, framing, gated)
+            detect_x(x_groups, ifm, theta_b, det, schedule, det_rng_x, framing, gated)
         )
 
     t2 = clock()
-    events.sort(key=lambda e: (e.burst_index, e.slot_index, e.timestamp_ps))
-    result = sift(
+    stats = sift(
         events,
         sent,
         schedule,
         fringe_block_bursts=block,
         excluded_bursts={int(i) for i in idx_all[excluded_mask]},
     )
-    eligible_total = int((~excluded_mask).sum())
-    symbols_sent = eligible_total * slots
     timings = {
         "drift_walk_s": t1 - t0,
         "event_chain_s": t2 - t1,
         "sift_s": clock() - t2,
     }
-    return RunOutcome(
-        tallies=result.tallies,
-        sift_stats=result,
-        eligible_bursts=eligible_total,
-        total_bursts=n_bursts,
-        symbols_sent=symbols_sent,
-        elapsed_s=result.tallies.elapsed_s,
-        timings=timings,
-    )
+    return _run_outcome(scenario, stats, int((~excluded_mask).sum()), timings)
 
 
 def simulate_and_analyze(

@@ -122,10 +122,6 @@ class Framing:
 
 CANONICAL = Framing()
 
-#: Serializer words for the canonical framing (shift=0, gap_bits=1),
-#: indexed by State value: 10000000, 00100000, 10100000.
-CANONICAL_WORDS = CANONICAL.words
-
 
 def encode_state(state: State, framing: Framing = CANONICAL) -> int:
     """8-bit serial word for a state under the framing (Framing.words)."""
@@ -156,10 +152,6 @@ class Pulse:
     bin_label: Bin
     burst_index: int = 0
     slot_index: int = 0
-
-    @property
-    def center_ps(self) -> float:
-        return self.start_ps + self.width_ps / 2.0
 
 
 def serialize_word(

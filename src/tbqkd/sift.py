@@ -174,20 +174,6 @@ class TallyCounts:
     def symbols_sent(self) -> int:
         return sum(v for row in self.sent_counts for v in row)
 
-    def __add__(self, other: "TallyCounts") -> "TallyCounts":
-        if not isinstance(other, TallyCounts):
-            return NotImplemented
-        sent = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.sent_counts, other.sent_counts)
-        )
-        kwargs = {k: getattr(self, k) + getattr(other, k) for k in TALLY_KEYS}
-        return TallyCounts(
-            sent_counts=sent,
-            elapsed_s=self.elapsed_s + other.elapsed_s,
-            **kwargs,
-        )
-
     def to_export_dict(self) -> dict[str, float]:
         out: dict[str, float] = {k: getattr(self, k) for k in TALLY_KEYS}
         out["elapsed_s"] = self.elapsed_s
@@ -319,7 +305,3 @@ def qber_x(fringe_max_counts: int, fringe_min_counts: int) -> float:
     if fringe_max_counts + fringe_min_counts == 0:
         raise EmptyTallyError("no X-basis counts")
     return fringe_min_counts / (fringe_min_counts + fringe_max_counts)
-
-
-def qber_x_of(t: TallyCounts) -> float:
-    return qber_x(t.fringe_max_counts, t.fringe_min_counts)

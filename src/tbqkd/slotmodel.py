@@ -28,7 +28,7 @@ from .config import ScenarioConfig
 from .errors import DomainError
 from .link import DetectorModel
 from .protocol import Basis, Bin, IntensityClass, State
-from .sift import TALLY_KEYS, sift_rule
+from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS
 
 N_CLASSES = 12
 # outcome columns: the Bin value of a click, then no click
@@ -421,19 +421,14 @@ class ExpectedTallies:
 
 
 def _key_weights(detector: Basis) -> np.ndarray:
-    """Tally keys of a click on the detector under sift_rule, as 0/1
-    weights of shape (2, N_CLASSES, 4, len(TALLY_KEYS)): fringe parity,
-    class, outcome column (early..outside) and key."""
-    parity, cls, col = np.meshgrid(
-        np.arange(2), np.arange(N_CLASSES), np.arange(COL_NONE), indexing="ij"
-    )
-    key, error, _ = sift_rule(
-        CLASS_STATE[cls], CLASS_INTENSITY[cls], detector, col, parity
-    )
-    keys = np.arange(len(TALLY_KEYS))
-    return (
-        (key[..., None] == keys) | (np.where(error, key + 2, -1)[..., None] == keys)
-    ).astype(np.float64)
+    """Tally keys of a click on the detector under sift's rule table, as
+    0/1 weights of shape (2, N_CLASSES, 4, len(TALLY_KEYS)): fringe
+    parity, class, outcome column (early..outside) and key."""
+    rules = _RULE_TABLE.reshape(*_COMBO_SHAPE, -1)[
+        CLASS_STATE, CLASS_INTENSITY, detector
+    ]
+    keys = rules[..., : len(TALLY_KEYS)].transpose(2, 0, 1, 3)
+    return keys.astype(np.float64, order="C")
 
 
 _Z_WEIGHTS = _key_weights(Basis.Z)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleTargetError, TimelineMismatchError
+from .errors import DomainError, TimelineMismatchError
 from .ppg import Framing, Pulse
 from .protocol import Bin, IntensityClass, ProtocolParams, State, Symbol
 
@@ -152,17 +152,3 @@ def modulate(
         )
         out.sort(key=lambda p: p.start_ps)
     return out
-
-
-def calibrate_output(target_mu1: float, raw_intensity: float) -> float:
-    """Attenuation factor a in (0, 1] with a * raw_intensity = target_mu1."""
-    if raw_intensity <= 0.0:
-        raise DomainError(f"raw_intensity must be > 0, got {raw_intensity}")
-    if target_mu1 <= 0.0:
-        raise DomainError(f"target_mu1 must be > 0, got {target_mu1}")
-    if target_mu1 > raw_intensity:
-        raise InfeasibleTargetError(
-            f"target {target_mu1} exceeds raw intensity {raw_intensity}; "
-            "an attenuator cannot amplify"
-        )
-    return target_mu1 / raw_intensity

@@ -481,7 +481,7 @@ def test_stabilization():
             mean = amplitude * (1.0 + ifm.visibility * math.cos(locked + offset)) / 2.0
             return float(rng.poisson(mean))
 
-        res = stabilize(ifm, probe, rng=rng, max_evals=max_evals)
+        res = stabilize(probe, max_evals=max_evals)
         recovered = (
             1.0 + ifm.visibility * math.cos(theta0 + res.correction)
         ) / (1.0 + ifm.visibility)

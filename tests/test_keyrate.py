@@ -384,12 +384,6 @@ class TestReportSerialization:
             "lambda_ec", "skl", "skr", "yield",
         }
 
-    def test_extras_carry_diagnostics(self):
-        rep = keyrate(FROZEN, PARAMS, SEC)
-        extras = rep.extras_dict()
-        assert extras["degenerate"] is False
-        assert extras["elapsed_s"] == 10.0
-
     def test_all_error_x_tally_reports_q_x_one(self):
         # every X click fell in a fringe-minimum block
         t = TallyCounts(n_x_mu1=3, m_x_mu1=3, n_z_mu1=10, elapsed_s=1.0)

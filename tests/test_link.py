@@ -85,21 +85,21 @@ class TestInterfere:
         ]
 
     def test_xplus_constructive(self):
-        ifm = InterferometerModel(delay=1.25e-9, visibility=0.98, theta=0.0)
-        out = interfere(self.make_xplus(), ifm)
+        ifm = InterferometerModel(delay=1.25e-9, visibility=0.98)
+        out = interfere(self.make_xplus(), ifm, 0.0)
         means = [p.mean_photons for p in out]
         assert means == pytest.approx([0.0625, 0.2475, 0.0625], abs=1e-12)
         assert [p.bin_label for p in out] == [Bin.EARLY, Bin.CENTRAL, Bin.LATE]
 
     def test_xplus_destructive_null(self):
-        ifm = InterferometerModel(delay=1.25e-9, visibility=1.0, theta=math.pi)
-        out = interfere(self.make_xplus(), ifm)
+        ifm = InterferometerModel(delay=1.25e-9, visibility=1.0)
+        out = interfere(self.make_xplus(), ifm, math.pi)
         central = out[1].mean_photons
         assert central == pytest.approx(0.0, abs=1e-15)
 
     def test_z0_no_cross_term(self):
-        ifm = InterferometerModel(delay=1.25e-9, visibility=0.98, theta=0.3)
-        out = interfere([pulse(0, 0.5, Bin.EARLY)], ifm)
+        ifm = InterferometerModel(delay=1.25e-9, visibility=0.98)
+        out = interfere([pulse(0, 0.5, Bin.EARLY)], ifm, 0.3)
         means = [p.mean_photons for p in out]
         assert means == pytest.approx([0.125, 0.125, 0.0], abs=1e-15)
 
@@ -107,18 +107,18 @@ class TestInterfere:
         ifm = InterferometerModel(delay=1.25e-9)
         bad = [pulse(0, 0.25, Bin.EARLY), pulse(2500, 0.25, Bin.LATE)]
         with pytest.raises(DelayMismatchError):
-            interfere(bad, ifm)
+            interfere(bad, ifm, 0.0)
 
     def test_zero_visibility_conserves_half(self):
-        ifm = InterferometerModel(delay=1.25e-9, visibility=0.0, theta=1.0)
-        out = interfere(self.make_xplus(0.3), ifm)
+        ifm = InterferometerModel(delay=1.25e-9, visibility=0.0)
+        out = interfere(self.make_xplus(0.3), ifm, 1.0)
         assert sum(p.mean_photons for p in out) == pytest.approx(0.3, rel=1e-12)
 
     def test_output_never_negative(self):
         # destructive interference at V=1 bottoms out at exactly zero
-        ifm = InterferometerModel(delay=1.25e-9, visibility=1.0, theta=math.pi)
+        ifm = InterferometerModel(delay=1.25e-9, visibility=1.0)
         for mu in (0.01, 0.2, 0.5):
-            out = interfere(self.make_xplus(mu), ifm)
+            out = interfere(self.make_xplus(mu), ifm, math.pi)
             assert all(p.mean_photons >= 0.0 for p in out)
 
 
@@ -268,26 +268,24 @@ def wrapped(x):
 
 class TestStabilize:
     def test_noiseless_from_half_radian(self):
-        res = stabilize(InterferometerModel(), fringe_probe(0.5))
+        res = stabilize(fringe_probe(0.5))
         assert abs(wrapped(0.5 + res.correction)) < 0.05
         assert res.converged
 
     def test_already_at_maximum(self):
-        res = stabilize(InterferometerModel(), fringe_probe(0.0))
+        res = stabilize(fringe_probe(0.0))
         assert abs(wrapped(res.correction)) < 0.05
 
     def test_escapes_fringe_minimum_with_noise(self):
         rng = np.random.default_rng(13)
-        res = stabilize(
-            InterferometerModel(), fringe_probe(math.pi, rng=rng), rng=rng
-        )
+        res = stabilize(fringe_probe(math.pi, rng=rng))
         assert abs(wrapped(math.pi + res.correction)) < 0.2
         assert res.evaluations <= 64
 
     def test_dead_probe_reports_no_convergence(self):
-        res = stabilize(InterferometerModel(), lambda off: 0.0)
+        res = stabilize(lambda off: 0.0)
         assert not res.converged
 
     def test_eval_budget_enforced(self):
         with pytest.raises(DomainError):
-            stabilize(InterferometerModel(), fringe_probe(0.0), max_evals=3)
+            stabilize(fringe_probe(0.0), max_evals=3)

@@ -31,7 +31,7 @@ from tbqkd import (
 from tbqkd.errors import ScheduleViolationError
 from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS
 from tbqkd.protocol import Basis, IntensityClass, State
-from tbqkd.sift import TALLY_KEYS
+from tbqkd.sift import TALLY_KEYS, SiftResult
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
@@ -425,7 +425,9 @@ def per_slot_run(scenario):
             )
             pipeline._tally_detector(acc, detector, c_sel, bins, parity[rows])
 
-    return pipeline._run_outcome(scenario, acc, eligible_total, {})
+    elapsed = eligible_total * slots * scenario.params.symbol_period
+    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
+    return pipeline._run_outcome(scenario, stats, eligible_total, {})
 
 
 def detector_scenario(**changes):

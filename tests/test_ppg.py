@@ -9,7 +9,6 @@ import pytest
 from tbqkd import (
     Bin,
     BurstPlan,
-    CANONICAL_WORDS,
     ClockConfig,
     Framing,
     State,
@@ -39,7 +38,6 @@ class TestEncoding:
         assert encode_state(State.Z0) == 0b10000000
         assert encode_state(State.Z1) == 0b00100000
         assert encode_state(State.XPlus) == 0b10100000
-        assert CANONICAL_WORDS == (0b10000000, 0b00100000, 0b10100000)
 
     def test_shifted_z1(self):
         assert encode_state(State.Z1, Framing(shift=2, gap_bits=1)) == 0b00001000
@@ -100,7 +98,8 @@ class TestFraming:
         framing = Framing(CLOCK_684, shift=1, gap_bits=2)
         pulses = serialize_word(encode_state(State.XPlus, framing), framing, 5000)
         for p in pulses:
-            assert p.center_ps - 5000 == framing.z_offsets[p.bin_label]
+            center = p.start_ps + p.width_ps / 2.0
+            assert center - 5000 == framing.z_offsets[p.bin_label]
 
 
 class TestSerialization:

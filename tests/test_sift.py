@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tbqkd import (
     Basis,
@@ -16,7 +14,6 @@ from tbqkd import (
     Symbol,
     TallyCounts,
     qber_x,
-    qber_x_of,
     qber_z,
     read_tally_csv,
     sift,
@@ -259,10 +256,6 @@ class TestQber:
         with pytest.raises(EmptyTallyError):
             qber_x(0, 0)
 
-    def test_qber_x_of_uses_fringe_split(self):
-        t = TallyCounts(n_x_mu1=99, m_x_mu1=1)
-        assert qber_x_of(t) == pytest.approx(qber_x(98, 1))
-
 
 class TestTallyCounts:
     def test_errors_cannot_exceed_detections(self):
@@ -281,27 +274,6 @@ class TestTallyCounts:
         t = TallyCounts(n_z_mu1=5, n_z_mu2=3, n_x_mu1=2, n_x_mu2=1, m_x_mu1=1)
         assert t.n_z == 8 and t.n_x == 3
         assert t.fringe_min_counts == 1 and t.fringe_max_counts == 2
-
-    def test_merge_adds_fieldwise(self):
-        a = TallyCounts(n_z_mu1=3, m_z_mu1=1, sent_counts=((5, 1), (2, 0), (1, 1)))
-        b = TallyCounts(n_z_mu1=2, n_x_mu2=4, sent_counts=((1, 0), (0, 0), (0, 2)))
-        c = a + b
-        assert c.n_z_mu1 == 5 and c.m_z_mu1 == 1 and c.n_x_mu2 == 4
-        assert c.sent_counts == ((6, 1), (2, 0), (1, 3))
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=24, max_size=24))
-    def test_merge_associative_and_commutative(self, raw):
-        def mk(vals):
-            n = dict(zip(("n_z_mu1", "n_z_mu2", "n_x_mu1", "n_x_mu2"), vals[:4]))
-            m = {
-                k.replace("n_", "m_"): min(v, n[k])
-                for k, v in zip(("n_z_mu1", "n_z_mu2", "n_x_mu1", "n_x_mu2"), vals[4:8])
-            }
-            return TallyCounts(**n, **m)
-
-        a, b, c = mk(raw[:8]), mk(raw[8:16]), mk(raw[16:])
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
 
     def test_csv_round_trip(self, tmp_path):
         tallies = [

@@ -1,4 +1,4 @@
-"""Modulator chain: per-bin intensities, leakage, phase, calibration."""
+"""Modulator chain: per-bin intensities, leakage and phase."""
 
 from __future__ import annotations
 
@@ -15,12 +15,11 @@ from tbqkd import (
     SourceConfig,
     State,
     Symbol,
-    calibrate_output,
     encode_state,
     modulate,
     serialize_word,
 )
-from tbqkd.errors import DomainError, InfeasibleTargetError, TimelineMismatchError
+from tbqkd.errors import TimelineMismatchError
 
 PARAMS = ProtocolParams()
 FRAMING = Framing(ClockConfig(f_ref=100e6, f_out=800e6))
@@ -92,23 +91,3 @@ def test_decoy_reached_through_modulator_ratio():
     sym = Symbol(State.Z0, IntensityClass.Decoy, phase=0.0)
     pulses = modulate(sym, fragment(State.Z0), PARAMS, IDEAL, FRAMING)
     assert pulses[0].mean_photons == pytest.approx(0.19, rel=1e-12)
-
-
-class TestCalibrateOutput:
-    def test_simple_ratio(self):
-        assert calibrate_output(0.5, 1.0) == 0.5
-
-    def test_target_above_raw_is_infeasible(self):
-        with pytest.raises(InfeasibleTargetError):
-            calibrate_output(0.5, 0.25)
-
-    def test_exact_match_needs_no_attenuation(self):
-        assert calibrate_output(0.5, 0.5) == 1.0
-
-    def test_decoy_consistency(self):
-        # an im_ratio of 0.38 applied to mu1=0.50 lands on mu2 directly
-        assert calibrate_output(0.19, 0.5 * 0.38) == pytest.approx(1.0, rel=1e-12)
-
-    def test_nonpositive_raw_rejected(self):
-        with pytest.raises(DomainError):
-            calibrate_output(0.5, 0.0)
