@@ -117,8 +117,9 @@ class ScenarioConfig:
     def n_bursts(self) -> int:
         return max(1, round(self.duration / self.params.burst_period))
 
-    @property
+    @functools.cached_property
     def plan(self) -> BurstPlan:
+        """Burst structure of the run, built once per scenario."""
         return BurstPlan(
             symbols_per_burst=self.params.symbols_per_burst,
             symbol_period=self.params.symbol_period,

@@ -214,17 +214,18 @@ def _x_click_prob(
 
 def _click_bounds(
     qz_any: np.ndarray, kx: np.ndarray, eta_b: np.ndarray
-) -> tuple[float, float]:
-    """Upper bounds on every class's per-slot click probability, Z and X.
+) -> tuple[float, np.ndarray]:
+    """Upper bounds on the per-slot click probability: one for every
+    class on the Z detector, and one per class on the X detector.
 
-    The X bound holds at every phase, since exp(-etaB cos) >= exp(-|etaB|)
-    for cos in [-1, 1]; it is widened by a few ulps of 1 for the rounding
-    of _x_click_prob. A die at or above a bound cannot click whatever
-    its slot's class.
+    The X bounds hold at every phase, since exp(-etaB cos) >= exp(-|etaB|)
+    for cos in [-1, 1]; they are widened by a few ulps of 1 for the
+    rounding of _x_click_prob. A die at or above a bound cannot click
+    (on X, in a slot of that class).
     """
     z_bound = float(qz_any.max())
-    x_bound = float(1.0 - (kx * np.exp(-np.abs(eta_b))).min())
-    return z_bound, x_bound + 8 * np.finfo(float).eps
+    x_bounds = 1.0 - kx * np.exp(-np.abs(eta_b)) + 8 * np.finfo(float).eps
+    return z_bound, x_bounds
 
 
 def _classes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -325,8 +326,10 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     get a class and the exact test `die < click probability of the
     class`; every other slot cannot click. The phase, fringe parity and
     servo eligibility of a burst are evaluated only where a candidate or
-    a first click needs them. The stream and every tally are therefore
-    those of evaluating the class and the click test of every slot.
+    a first click needs them, and on the X detector only for candidates
+    below the bound of their own class. The stream and every tally are
+    therefore those of evaluating the class and the click test of every
+    slot.
 
     timings holds the seconds spent building the link model, walking
     the phase, filling uniforms, evaluating candidates and first clicks,
@@ -360,7 +363,8 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     # Z click
     z_cum = _click_cum(static_z.T)
     kx, eta_b = x_none_terms(model.x_table)
-    z_bound, x_bound = _click_bounds(qz_any, kx, eta_b)
+    z_bound, x_bounds = _click_bounds(qz_any, kx, eta_b)
+    x_bound = float(x_bounds.max())
 
     acc = _Accumulator()
     eligible_total = 0
@@ -410,7 +414,10 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         z_parity = burst_parity(lo + burst[first], block)
 
         cls = _classes(u_flat[x_slot], class_edges)
-        burst = x_slot // slots
+        # candidates above their own class's bound cannot click
+        keep = np.flatnonzero(x_die < x_bounds[cls])
+        cls, x_die = cls[keep], x_die[keep]
+        burst = x_slot[keep] // slots
         parity = burst_parity(lo + burst, block)
         cos_t = np.cos(math.pi * parity + walk[burst])
         click = np.flatnonzero(x_die < _x_click_prob(kx, eta_b, cls, cos_t))

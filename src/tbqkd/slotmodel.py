@@ -20,6 +20,7 @@ dark_rate*jitter/gate ~ 1e-8, far below any statistical resolution here.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ CLASS_INTENSITY = np.array([(c // 2) % 2 for c in range(N_CLASSES)], dtype=np.in
 CLASS_ROUTE = np.array([c % 2 for c in range(N_CLASSES)], dtype=np.int64)
 
 
-def _phi(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, through math.erf value by value."""
+    erf = [math.erf(v) for v in (z / math.sqrt(2.0)).ravel().tolist()]
+    return 0.5 * (1.0 + np.array(erf).reshape(z.shape))
 
 
 def _acceptance_region(
@@ -99,64 +102,67 @@ class GateTable:
 
 
 def _build_gate_table(
-    components: list[list[tuple[float, float, float]]],
+    pos: np.ndarray,
+    mean_const: np.ndarray,
+    mean_cos: np.ndarray,
     bin_centers: dict[Bin, float],
     det: DetectorModel,
 ) -> GateTable:
-    """components[c] = [(pos_ps, mean_const, mean_cos), ...]."""
+    """Gate table of the photon components given as (3, 12) arrays of
+    position (ps), mean_const and mean_cos per class. Components with a
+    zero mean drop out; each class keeps the rest in (pos, mean_const,
+    mean_cos) order, moved to the front."""
     gate = float(det.gate_width_ps)
     sigma = det.jitter_sigma_ps
     regions = {b: _acceptance_region(c, det) for b, c in bin_centers.items()}
 
-    n_comp = np.zeros(N_CLASSES, dtype=np.int64)
-    pos = np.zeros((3, N_CLASSES))
-    a_arr = np.zeros((3, N_CLASSES))
-    b_arr = np.zeros((3, N_CLASSES))
+    real = (mean_const > 0.0) | (mean_cos != 0.0)
+    # flat index of each class's i-th real component, in sorted order
+    order = np.lexsort((mean_cos, mean_const, pos, ~real), axis=0)
+    order = order * N_CLASSES + np.arange(N_CLASSES)
+    real = real.ravel()[order]
+    pos, a_arr, b_arr = (
+        np.where(real, v.ravel()[order], 0.0) for v in (pos, mean_const, mean_cos)
+    )
+
+    # window bounds (lo, hi) of each bin column, against each real
+    # component or race interval
+    bounds = np.array(list(regions.values()))[:, :, None]
+    x = pos[real]
+    if sigma > 0.0:
+        cdf = _phi((bounds - x) / sigma)
+        w = cdf[:, 1] - cdf[:, 0]
+    else:
+        w = ((bounds[:, 0] <= x) & (x < bounds[:, 1])).astype(np.float64)
+    w_bins = np.zeros((len(regions), 3, N_CLASSES))
+    w_bins[:, real] = w
     w_arr = np.zeros((3, 4, N_CLASSES))
-    edges = np.zeros((5, N_CLASSES))
+    w_arr[:, list(regions)] = w_bins.transpose(1, 0, 2)
+    # the columns add up in index order
+    outside = np.maximum(0.0, 1.0 - w_arr.sum(axis=1))
+    w_arr[:, COL_OUTSIDE] = np.where(real, outside, 0.0)
+
+    edges = np.full((5, N_CLASSES), gate)
+    edges[0] = 0.0
+    edges[1:4] = np.where(real, pos, gate)
+    lo_k, hi_k = edges[:4], edges[1:]
+    widths = (hi_k - lo_k) / gate
+    is_open = widths > 0.0
+    # share of the gate in each race interval and bin window
+    ov = np.minimum(np.minimum(bounds[:, 1:], hi_k), gate) - np.maximum(
+        np.maximum(bounds[:, :1], lo_k), 0.0
+    )
+    binned = np.maximum(0.0, ov) / gate
     spans = np.zeros((4, 4, N_CLASSES))
-
-    for c in range(N_CLASSES):
-        comps = sorted(x for x in components[c] if x[1] > 0.0 or x[2] != 0.0)
-        if len(comps) > 3:
-            raise DomainError("a gate holds at most three photon components")
-        n_comp[c] = len(comps)
-        for i, (x, a, b) in enumerate(comps):
-            pos[i, c] = x
-            a_arr[i, c] = a
-            b_arr[i, c] = b
-            for bn, (lo, hi) in regions.items():
-                if sigma > 0.0:
-                    w = _phi((hi - x) / sigma) - _phi((lo - x) / sigma)
-                else:
-                    w = 1.0 if lo <= x < hi else 0.0
-                w_arr[i, bn, c] = w
-            w_arr[i, COL_OUTSIDE, c] = max(
-                0.0, 1.0 - w_arr[i, : COL_OUTSIDE + 1, c].sum()
-            )
-
-        bounds = [0.0] + [pos[i, c] for i in range(n_comp[c])] + [gate]
-        bounds += [gate] * (5 - len(bounds))
-        edges[:, c] = bounds
-        for k in range(4):
-            lo_k, hi_k = edges[k, c], edges[k + 1, c]
-            if hi_k <= lo_k:
-                continue
-            total = (hi_k - lo_k) / gate
-            binned = 0.0
-            for bn, (lo, hi) in regions.items():
-                ov = max(0.0, min(hi, hi_k, gate) - max(lo, lo_k, 0.0))
-                frac = ov / gate
-                spans[k, bn, c] = frac
-                binned += frac
-            spans[k, COL_OUTSIDE, c] = max(0.0, total - binned)
+    spans[:, list(regions)] = binned.transpose(1, 0, 2)
+    # the windows add up in column order
+    spans[:, COL_OUTSIDE] = np.maximum(0.0, widths - binned.sum(axis=0))
+    spans *= is_open[:, None]
 
     lam = det.dark_prob_per_gate
     decay = np.exp(-lam * edges / gate)
-    widths = (edges[1:] - edges[:4]) / gate
-    is_open = widths > 0.0
     return GateTable(
-        n_comp=n_comp,
+        n_comp=real.sum(axis=0),
         pos=pos,
         mean_const=a_arr,
         mean_cos=b_arr,
@@ -195,55 +201,41 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
     p_state = params.state_probabilities()
     p_int = np.array([params.p_mu1, params.p_mu2])
     p_route = np.array([scenario.p_z_receiver, 1.0 - scenario.p_z_receiver])
-    priors = np.zeros(N_CLASSES)
-    for c in range(N_CLASSES):
-        priors[c] = (
-            p_state[CLASS_STATE[c]]
-            * p_int[CLASS_INTENSITY[c]]
-            * p_route[CLASS_ROUTE[c]]
-        )
+    priors = p_state[CLASS_STATE] * p_int[CLASS_INTENSITY] * p_route[CLASS_ROUTE]
 
     z_off = scenario.framing.z_offsets
     x_off = scenario.framing.x_offsets
     delay = ifm.delay_ps
     leak = src.leak_fraction
-    ratio = src.ratio(params)
+    im1 = src.im1_transmission_x
 
-    z_comps: list[list[tuple[float, float, float]]] = [[] for _ in range(N_CLASSES)]
-    x_comps: list[list[tuple[float, float, float]]] = [[] for _ in range(N_CLASSES)]
-    for c in range(N_CLASSES):
-        state = State(int(CLASS_STATE[c]))
-        mu_on = params.mu1 * (ratio if CLASS_INTENSITY[c] == 1 else 1.0)
-        if state == State.Z0:
-            mu_early, mu_late = mu_on, mu_on * leak
-        elif state == State.Z1:
-            mu_early, mu_late = mu_on * leak, mu_on
-        else:
-            mu_early = mu_late = mu_on * src.im1_transmission_x
-        mu_early *= t_ch
-        mu_late *= t_ch
-        if CLASS_ROUTE[c] == int(Basis.Z):
-            z_comps[c] = [
-                (z_off[Bin.EARLY], mu_early, 0.0),
-                (z_off[Bin.LATE], mu_late, 0.0),
-            ]
-        else:
-            cross = 0.5 * ifm.visibility * math.sqrt(mu_early * mu_late)
-            # the outputs lie one arm delay apart, which may differ from
-            # the separation of the bin windows by up to a TDC step; like
-            # link.interfere, they follow the early pulse, or the late one
-            # when there is no early pulse
-            t0 = z_off[Bin.EARLY] if mu_early > 0.0 else z_off[Bin.LATE] - delay
-            x_comps[c] = [
-                (t0, mu_early / 4.0, 0.0),
-                (t0 + delay, (mu_early + mu_late) / 4.0, cross),
-                (t0 + 2 * delay, mu_late / 4.0, 0.0),
-            ]
+    # per class: Z0 leaks into the late bin, Z1 into the early one, and
+    # XPlus carries both pulses through IM1
+    mu_on = params.mu1 * np.where(CLASS_INTENSITY == 1, src.ratio(params), 1.0)
+    mu_early = mu_on * np.array([1.0, leak, im1])[CLASS_STATE] * t_ch
+    mu_late = mu_on * np.array([leak, 1.0, im1])[CLASS_STATE] * t_ch
+    zero = np.zeros(N_CLASSES)
+    to_z = CLASS_ROUTE == int(Basis.Z)
+
+    z_pos = np.repeat([[z_off[Bin.EARLY]], [z_off[Bin.LATE]], [0.0]], N_CLASSES, axis=1)
+    z_const = np.where(to_z, np.stack((mu_early, mu_late, zero)), 0.0)
+
+    cross = 0.5 * ifm.visibility * np.sqrt(mu_early * mu_late)
+    # the outputs lie one arm delay apart, which may differ from the
+    # separation of the bin windows by up to a TDC step; like
+    # link.interfere, they follow the early pulse, or the late one when
+    # there is no early pulse
+    t0 = np.where(mu_early > 0.0, z_off[Bin.EARLY], z_off[Bin.LATE] - delay)
+    x_pos = np.stack((t0, t0 + delay, t0 + 2 * delay))
+    x_const = np.where(
+        to_z, 0.0, np.stack((mu_early, mu_early + mu_late, mu_late)) / 4.0
+    )
+    x_cos = np.where(to_z, 0.0, np.stack((zero, cross, zero)))
 
     return LinkModel(
         priors=priors,
-        z_table=_build_gate_table(z_comps, z_off, det),
-        x_table=_build_gate_table(x_comps, x_off, det),
+        z_table=_build_gate_table(z_pos, z_const, np.zeros_like(z_pos), z_off, det),
+        x_table=_build_gate_table(x_pos, x_const, x_cos, x_off, det),
     )
 
 
@@ -261,26 +253,27 @@ def outcome_probs(
     components and race intervals run in index order.
     """
     cls = np.asarray(cls, dtype=np.int64)
-    cos_t = np.broadcast_to(np.asarray(cos_t, dtype=np.float64), cls.shape)
+    cos_t = np.asarray(cos_t, dtype=np.float64)
     out = np.empty((COL_NONE + 1, cls.shape[0]))
 
     def take(arr: np.ndarray) -> np.ndarray:
-        return np.take(arr, cls, axis=-1)
+        return arr.take(cls, axis=-1)
 
     means = take(table.mean_const) + take(table.mean_cos) * cos_t  # (3, n)
     means = np.maximum(means, 0.0)
-    prefix_full = means.copy()  # sums through component i
-    for i in (1, 2):
-        prefix_full[i] += prefix_full[i - 1]
-    prefix = prefix_full - means  # sum over j < i
-    q_i = -np.expm1(-table.eta * means)
-    alive_photon = np.exp(-table.eta * prefix)
-    win_photon = q_i * alive_photon * take(table.dark_before)  # (3, n)
+    prefix_full = np.cumsum(means, axis=0)  # sums through component i
+    # component i clicks, and no photon (the sum over j < i) and no dark
+    # clicked before it; each table row is gathered only when it is
+    # needed, which bounds the temporaries held at once
+    win_photon = (
+        -np.expm1(-table.eta * means)
+        * np.exp(-table.eta * (prefix_full - means))
+        * take(table.dark_before)
+    )  # (3, n)
     clicks = out[:COL_NONE]
-    weights = take(table.comp_w)  # (3, 4, n)
-    np.multiply(win_photon[0], weights[0], out=clicks)
+    np.multiply(win_photon[0], take(table.comp_w[0]), out=clicks)
     for i in (1, 2):
-        clicks += win_photon[i] * weights[i]
+        clicks += win_photon[i] * take(table.comp_w[i])
 
     if table.lam_dark > 0.0:
         # photons at or before the interval must all miss
@@ -288,10 +281,9 @@ def outcome_probs(
         alive_dark[0] = 1.0
         np.exp(-table.eta * prefix_full, out=alive_dark[1:])
         cond = take(table.dark_win) * alive_dark / take(table.dark_width)
-        spans = take(table.dark_span)  # (4, 4, n)
-        dark = cond[0] * spans[0]
+        dark = cond[0] * take(table.dark_span[0])
         for k in (1, 2, 3):
-            dark += cond[k] * spans[k]
+            dark += cond[k] * take(table.dark_span[k])
         clicks += dark
 
     out[COL_NONE] = np.exp(-table.lam_dark - table.eta * prefix_full[2])
@@ -382,25 +374,25 @@ def lock_elapsed_s(scenario: ScenarioConfig, burst_pos: np.ndarray) -> np.ndarra
 
 
 def expected_cos_theta(
-    scenario: ScenarioConfig, burst_pos: np.ndarray, spread: float = 0.0
+    scenario: ScenarioConfig,
+    burst_pos: np.ndarray,
+    spread: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """E[cos(theta_b)] per burst under the locked random-walk model.
 
     After each stabilization the servo holds theta at the current fringe
     block's lock point (0 or pi); drift then accumulates as a Brownian
     walk, so E[cos(lock + W_t)] = (+/-1) * exp(-drift_sigma^2 t / 2).
-    `spread` shifts the walk coherently by that many std devs; the
-    analytic variance bound uses it as a finite difference. Fractional
-    positions take the fringe parity and lock interval of the nearest
-    burst, as in lock_elapsed_s.
+    `spread`, one value or one per position, shifts the walk coherently
+    by that many std devs; the analytic variance bound uses it as a
+    finite difference. Fractional positions take the fringe parity and
+    lock interval of the nearest burst, as in lock_elapsed_s.
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
     sigma = scenario.interferometer.drift_sigma
     tau = lock_elapsed_s(scenario, pos)
     sign = 1.0 - 2.0 * burst_parity(np.rint(pos), fringe_block_bursts(scenario))
     damp = np.exp(-0.5 * sigma * sigma * tau)
-    if spread == 0.0:
-        return sign * damp
     shift = spread * sigma * np.sqrt(tau)
     # |cos(t + d) - cos t| <= |d|: apply the shift as a worst-case
     # coherent displacement of cos itself.
@@ -456,11 +448,13 @@ def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _x_key_probs(
-    model: LinkModel, cos_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot probabilities of the tally keys on the interferometer
-    detector, (2, n, len(TALLY_KEYS)) for fringe parity 0 and 1, and its
-    any-click probability (n,).
+    model: LinkModel,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The per-slot probabilities of the tally keys on the interferometer
+    detector as a function of cos(theta): for phases cos_t (n,), the key
+    probabilities (2, n, len(TALLY_KEYS)) for fringe parity 0 and 1, and
+    the any-click probability (n,). The phase-free terms are evaluated
+    here, once.
 
     Only classes that sift_rule counts and whose mean depends on the
     phase (XPlus routed to the interferometer) need the full per-burst
@@ -468,24 +462,31 @@ def _x_key_probs(
     static outcome (dark clicks while the light went the other way), and
     every class through its closed-form no-click factor.
     """
-    n = cos_t.shape[0]
-    k_fac, eta_b = x_none_terms(model.x_table)
-    none_sum = np.zeros(n)
-    for g in np.unique(eta_b):
-        w = float(np.dot(model.priors, np.where(eta_b == g, k_fac, 0.0)))
-        none_sum += w * (np.exp(-g * cos_t) if g != 0.0 else 1.0)
-    q_any = 1.0 - none_sum
-
-    phased = model.x_table.mean_cos.any(axis=0)
+    table = model.x_table
+    k_fac, eta_b = x_none_terms(table)
+    none_groups = [
+        (g, float(np.dot(model.priors, np.where(eta_b == g, k_fac, 0.0))))
+        for g in np.unique(eta_b)
+    ]
+    phased = table.mean_cos.any(axis=0)
     fixed = _X_COUNTED & ~phased
-    static_x = static_outcome(model.x_table)
-    p = _class_key_probs(
-        _X_WEIGHTS[:, fixed], model.priors[fixed], static_x[fixed]
+    p_fixed = _class_key_probs(
+        _X_WEIGHTS[:, fixed], model.priors[fixed], static_outcome(table)[fixed]
     )[:, None, :]
-    for c in np.flatnonzero(_X_COUNTED & phased):
-        probs = outcome_probs(model.x_table, np.full(n, c), cos_t)
-        p = p + model.priors[c] * (probs[:, :COL_NONE] @ _X_WEIGHTS[:, c])
-    return np.broadcast_to(p, (2, n, len(TALLY_KEYS))), q_any
+    counted = np.flatnonzero(_X_COUNTED & phased)
+
+    def key_probs(cos_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = cos_t.shape[0]
+        none_sum = np.zeros(n)
+        for g, w in none_groups:
+            none_sum += w * (np.exp(-g * cos_t) if g != 0.0 else 1.0)
+        p = p_fixed
+        for c in counted:
+            probs = outcome_probs(table, np.full(n, c), cos_t)
+            p = p + model.priors[c] * (probs[:, :COL_NONE] @ _X_WEIGHTS[:, c])
+        return np.broadcast_to(p, (2, n, len(TALLY_KEYS))), 1.0 - none_sum
+
+    return key_probs
 
 
 def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -545,18 +546,26 @@ _GL_W = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
 GREGORY = np.array([469.0, -177.0, 87.0, -19.0]) / 720.0
 HEAD_BURSTS = 16
 # nodes evaluated at once, which bounds memory on scenarios cut into
-# very many segments
+# very many segments; each node set is also summed in slices of this size
 NODE_BATCH = 1 << 18
+# node sets share one evaluation only while it holds at most this many
+# nodes: beyond a few thousand, the temporaries of outcome_probs cost
+# more per node than the saved calls (a 300 s preset's three sets of
+# 3024 nodes ran 1.3 times slower as one evaluation, in a fresh process)
+SHARED_NODES = 1 << 12
 
 
 def _quadrature_nodes(
-    scenario: ScenarioConfig, lo: np.ndarray, hi: np.ndarray, sqrt_tau: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Burst positions, weights, and the fringe parity of each position,
-    such that the weighted sum of any smooth per-burst function f equals
-    sum(f(b) for b in each segment [lo, hi)) to rounding. With sqrt_tau,
-    the interior integral runs in u = sqrt(tau) (dtau = 2u du), so f may
-    also carry sqrt(tau) terms."""
+    scenario: ScenarioConfig, lo: np.ndarray, hi: np.ndarray, drift: bool
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Node sets of burst positions, weights, and the fringe parity of
+    each position, such that the weighted sum of any smooth per-burst
+    function f equals sum(f(b) for b in each segment [lo, hi)) to
+    rounding. The first set integrates each interior in burst position.
+    With drift, a second set integrates it in u = sqrt(tau)
+    (dtau = 2u du), so that f may also carry sqrt(tau) terms; the two
+    share their bursts summed one by one, their end nodes and their
+    parities."""
     period = scenario.plan.burst_period
     n = hi - lo
     whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
@@ -572,25 +581,49 @@ def _quadrature_nodes(
     j = np.arange(len(GREGORY))
     ends = np.concatenate((a + j, b - j), axis=1)
     end_w = np.broadcast_to(np.tile(GREGORY, 2), ends.shape)
-    if sqrt_tau:
+    interiors = [(a + (b - a) * _GL_T, (b - a) * _GL_W)]
+    if drift:
         tau_a = lock_elapsed_s(scenario, a)
         u_a = np.sqrt(tau_a)
         u_b = np.sqrt(lock_elapsed_s(scenario, b))
         u = u_a + (u_b - u_a) * _GL_T
-        inner = a + (u * u - tau_a) / period
-        inner_w = (u_b - u_a) * _GL_W * 2.0 * u / period
-    else:
-        inner = a + (b - a) * _GL_T
-        inner_w = (b - a) * _GL_W
+        interiors.append(
+            (a + (u * u - tau_a) / period, (u_b - u_a) * _GL_W * 2.0 * u / period)
+        )
 
     odd = burst_parity(lo, fringe_block_bursts(scenario))
-    weight = np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel()))
     parity = np.concatenate((
         np.repeat(odd, head),
         np.repeat(odd[~whole], ends.shape[1]),
         np.repeat(odd[~whole], len(_GL_T)),
     ))
-    return np.concatenate((exact, ends.ravel(), inner.ravel())), weight, parity
+    return [
+        (
+            np.concatenate((exact, ends.ravel(), inner.ravel())),
+            np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel())),
+            parity,
+        )
+        for inner, inner_w in interiors
+    ]
+
+
+def _node_batches(sizes: list[int]) -> Iterator[list[tuple[int, slice]]]:
+    """Batches of (node set, slice), for node sets of these sizes. Each
+    set is cut into NODE_BATCH slices of its own and no slice is split,
+    so the sum over a slice does not depend on what shares its batch.
+    Slices share a batch while it holds at most SHARED_NODES nodes."""
+    batch: list[tuple[int, slice]] = []
+    size = 0
+    for k, n in enumerate(sizes):
+        for a in range(0, n, NODE_BATCH):
+            sl = slice(a, min(a + NODE_BATCH, n))
+            if batch and size + sl.stop - a > SHARED_NODES:
+                yield batch
+                batch, size = [], 0
+            batch.append((k, sl))
+            size += sl.stop - a
+    if batch:
+        yield batch
 
 
 def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
@@ -603,38 +636,50 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     x_segments run, so its per-burst sums are taken by quadrature over
     each run (_quadrature_nodes). The drift-bound sums carry
     sigma * sqrt(tau), which is not smooth at the lock, so they are
-    integrated in u = sqrt(tau) instead. Counts per burst and detector
-    are Bernoulli (first click wins, dead time covers the rest of the
-    burst, which ScenarioConfig enforces), so variances are exact
-    binomial sums.
+    integrated in u = sqrt(tau) instead. The node sets of the X-path
+    sums share their evaluations (_node_batches). Counts per burst and
+    detector are Bernoulli
+    (first click wins, dead time covers the rest of the burst, which
+    ScenarioConfig enforces), so variances are exact binomial sums.
     """
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst
-
-    def sums(nodes, spread: float) -> np.ndarray:
-        """Rows per tally key: the sum over eligible bursts of the
-        per-burst click probability p of the X detector, and of p^2."""
-        pos, weight, parity = nodes
-        out = np.zeros(2 * len(TALLY_KEYS))
-        for lo in range(0, pos.size, NODE_BATCH):
-            sl = slice(lo, lo + NODE_BATCH)
-            cos_t = expected_cos_theta(scenario, pos[sl], spread)
-            p_slot, q_any = _x_key_probs(model, cos_t)
-            # each burst at its own fringe parity
-            p = p_slot[parity[sl], np.arange(cos_t.size)]
-            p *= duty_factor(q_any, slots)[:, None]  # per burst
-            out += weight[sl] @ np.hstack((p, p * p))
-        return out.reshape(2, -1)
+    key_probs = _x_key_probs(model)
 
     lo, hi = x_segments(scenario)
     eligible_total = int((hi - lo).sum())
     odd = burst_parity(lo, fringe_block_bursts(scenario))
     n_odd = int(((hi - lo) * odd).sum())
-    x_mean, x_sq = sums(_quadrature_nodes(scenario, lo, hi, sqrt_tau=False), 0.0)
+    drift = scenario.interferometer.drift_sigma != 0.0
+    nodes = _quadrature_nodes(scenario, lo, hi, drift)
+    # (positions, weights, parities, spread) of each X-path sum: the
+    # means at spread 0 and, under drift, the +/-spread drift sums
+    sets = [(*nodes[0], 0.0)] + [(*nodes[-1], s) for s in (1.0, -1.0) if drift]
+    # per set, the sum over eligible bursts of the per-burst click
+    # probability p of each tally key on the X detector, and of p^2
+    x_sums = [np.zeros((2, len(TALLY_KEYS))) for _ in sets]
+    for batch in _node_batches([pos.size for pos, *_ in sets]):
+        pos = np.concatenate([sets[k][0][sl] for k, sl in batch])
+        parity = np.concatenate([sets[k][2][sl] for k, sl in batch])
+        spread = np.concatenate(
+            [np.full(sl.stop - sl.start, sets[k][3]) for k, sl in batch]
+        )
+        p_slot, q_any = key_probs(expected_cos_theta(scenario, pos, spread))
+        # each burst at its own fringe parity
+        p = p_slot[parity, np.arange(pos.size)]
+        p *= duty_factor(q_any, slots)[:, None]  # per burst
+        start = 0
+        for k, sl in batch:
+            rows = p[start : start + sl.stop - sl.start]
+            start += rows.shape[0]
+            sums = sets[k][1][sl] @ np.hstack((rows, rows * rows))
+            x_sums[k] += sums.reshape(2, -1)
+        # free this batch's rows before the next batch is evaluated
+        del p_slot, p, rows
+    x_mean, x_sq = x_sums[0]
     x_shift = np.zeros(len(TALLY_KEYS))  # half the +/-spread difference
-    if scenario.interferometer.drift_sigma != 0.0:
-        nodes = _quadrature_nodes(scenario, lo, hi, sqrt_tau=True)
-        x_shift = (sums(nodes, 1.0)[0] - sums(nodes, -1.0)[0]) / 2.0
+    if drift:
+        x_shift = (x_sums[1][0] - x_sums[2][0]) / 2.0
 
     static_z = static_outcome(model.z_table)
     q_any_z = float(np.dot(model.priors, 1.0 - static_z[:, COL_NONE]))

@@ -9,14 +9,20 @@ row_major_outcome_probs and row_major_attribute_bins are the slot-major
 forms of slotmodel.outcome_probs and the batch engine's bin attribution:
 one row per slot, the per-class tables gathered row by row, sums taken
 with einsum. The component-major code must reproduce them bit for bit.
+scalar_link_model builds the gate tables class by class and component
+by component, as slotmodel.build_link_model must reproduce bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from tbqkd import (
+    Basis,
+    Bin,
     ChannelModel,
     ClockConfig,
     DetectorModel,
@@ -24,6 +30,17 @@ from tbqkd import (
     ProtocolParams,
     ScenarioConfig,
     SourceConfig,
+    State,
+)
+from tbqkd.slotmodel import (
+    CLASS_INTENSITY,
+    CLASS_ROUTE,
+    CLASS_STATE,
+    COL_OUTSIDE,
+    N_CLASSES,
+    GateTable,
+    LinkModel,
+    _acceptance_region,
 )
 
 # Populated by test_acceptance.py, echoed at the end of the run so the
@@ -108,6 +125,135 @@ def row_major_attribute_bins(table, cls, cos_t, u) -> np.ndarray:
     cond = probs[:, :4] / np.maximum(q_any, 1e-300)[:, None]
     cum = np.cumsum(cond, axis=1)
     return np.minimum((u[:, None] > cum).sum(axis=1), 3)
+
+
+def _scalar_gate_table(components, bin_centers, det) -> GateTable:
+    """components[c] = [(pos_ps, mean_const, mean_cos), ...]."""
+    gate = float(det.gate_width_ps)
+    sigma = det.jitter_sigma_ps
+    regions = {b: _acceptance_region(c, det) for b, c in bin_centers.items()}
+
+    def phi(z: float) -> float:
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    n_comp = np.zeros(N_CLASSES, dtype=np.int64)
+    pos = np.zeros((3, N_CLASSES))
+    a_arr = np.zeros((3, N_CLASSES))
+    b_arr = np.zeros((3, N_CLASSES))
+    w_arr = np.zeros((3, 4, N_CLASSES))
+    edges = np.zeros((5, N_CLASSES))
+    spans = np.zeros((4, 4, N_CLASSES))
+
+    for c in range(N_CLASSES):
+        comps = sorted(x for x in components[c] if x[1] > 0.0 or x[2] != 0.0)
+        n_comp[c] = len(comps)
+        for i, (x, a, b) in enumerate(comps):
+            pos[i, c] = x
+            a_arr[i, c] = a
+            b_arr[i, c] = b
+            for bn, (lo, hi) in regions.items():
+                if sigma > 0.0:
+                    w = phi((hi - x) / sigma) - phi((lo - x) / sigma)
+                else:
+                    w = 1.0 if lo <= x < hi else 0.0
+                w_arr[i, bn, c] = w
+            w_arr[i, COL_OUTSIDE, c] = max(
+                0.0, 1.0 - w_arr[i, : COL_OUTSIDE + 1, c].sum()
+            )
+
+        bounds = [0.0] + [pos[i, c] for i in range(n_comp[c])] + [gate]
+        bounds += [gate] * (5 - len(bounds))
+        edges[:, c] = bounds
+        for k in range(4):
+            lo_k, hi_k = edges[k, c], edges[k + 1, c]
+            if hi_k <= lo_k:
+                continue
+            total = (hi_k - lo_k) / gate
+            binned = 0.0
+            for bn, (lo, hi) in regions.items():
+                ov = max(0.0, min(hi, hi_k, gate) - max(lo, lo_k, 0.0))
+                frac = ov / gate
+                spans[k, bn, c] = frac
+                binned += frac
+            spans[k, COL_OUTSIDE, c] = max(0.0, total - binned)
+
+    lam = det.dark_prob_per_gate
+    decay = np.exp(-lam * edges / gate)
+    widths = (edges[1:] - edges[:4]) / gate
+    is_open = widths > 0.0
+    return GateTable(
+        n_comp=n_comp,
+        pos=pos,
+        mean_const=a_arr,
+        mean_cos=b_arr,
+        comp_w=w_arr,
+        dark_edges=edges,
+        dark_span=spans,
+        dark_before=np.exp(-lam * pos / gate),
+        dark_win=np.where(is_open, decay[:4] - decay[1:], 0.0),
+        dark_width=np.where(is_open, widths, 1.0),
+        eta=det.efficiency,
+        lam_dark=lam,
+        gate_ps=gate,
+    )
+
+
+def scalar_link_model(scenario: ScenarioConfig) -> LinkModel:
+    """slotmodel.build_link_model evaluated class by class."""
+    params = scenario.params
+    src = scenario.source
+    ifm = scenario.interferometer
+    t_ch = scenario.channel.transmission
+
+    p_state = params.state_probabilities()
+    p_int = np.array([params.p_mu1, params.p_mu2])
+    p_route = np.array([scenario.p_z_receiver, 1.0 - scenario.p_z_receiver])
+    priors = np.zeros(N_CLASSES)
+    for c in range(N_CLASSES):
+        priors[c] = (
+            p_state[CLASS_STATE[c]]
+            * p_int[CLASS_INTENSITY[c]]
+            * p_route[CLASS_ROUTE[c]]
+        )
+
+    z_off = scenario.framing.z_offsets
+    x_off = scenario.framing.x_offsets
+    delay = ifm.delay_ps
+    leak = src.leak_fraction
+    ratio = src.ratio(params)
+
+    z_comps = [[] for _ in range(N_CLASSES)]
+    x_comps = [[] for _ in range(N_CLASSES)]
+    for c in range(N_CLASSES):
+        state = State(int(CLASS_STATE[c]))
+        mu_on = params.mu1 * (ratio if CLASS_INTENSITY[c] == 1 else 1.0)
+        if state == State.Z0:
+            mu_early, mu_late = mu_on, mu_on * leak
+        elif state == State.Z1:
+            mu_early, mu_late = mu_on * leak, mu_on
+        else:
+            mu_early = mu_late = mu_on * src.im1_transmission_x
+        mu_early *= t_ch
+        mu_late *= t_ch
+        if CLASS_ROUTE[c] == int(Basis.Z):
+            z_comps[c] = [
+                (z_off[Bin.EARLY], mu_early, 0.0),
+                (z_off[Bin.LATE], mu_late, 0.0),
+            ]
+        else:
+            cross = 0.5 * ifm.visibility * math.sqrt(mu_early * mu_late)
+            t0 = z_off[Bin.EARLY] if mu_early > 0.0 else z_off[Bin.LATE] - delay
+            x_comps[c] = [
+                (t0, mu_early / 4.0, 0.0),
+                (t0 + delay, (mu_early + mu_late) / 4.0, cross),
+                (t0 + 2 * delay, mu_late / 4.0, 0.0),
+            ]
+
+    return LinkModel(
+        priors=priors,
+        z_table=_scalar_gate_table(z_comps, z_off, scenario.detector),
+        x_table=_scalar_gate_table(x_comps, x_off, scenario.detector),
+    )
 
 
 @pytest.fixture

@@ -226,6 +226,20 @@ class TestDerivedQuantities:
         assert plan.symbols_per_burst == 20
         assert cfg.schedule().gap_ps == 20_000_000
 
+    def test_plan_is_built_once_per_scenario(self):
+        cfg = small_scenario(duration=1.2)
+        assert cfg.plan is cfg.plan
+        longer = cfg.replace(duration=2.4)
+        assert longer.plan.n_bursts == longer.n_bursts == 2 * cfg.n_bursts
+        params = dataclasses.replace(
+            cfg.params, symbols_per_burst=10, burst_period=48e-6
+        )
+        slower = cfg.replace(params=params)
+        assert slower.plan.symbols_per_burst == 10
+        assert slower.plan.burst_period == 48e-6
+        assert 2 * slower.plan.n_bursts == 2 * slower.n_bursts == cfg.n_bursts
+        assert cfg.plan.n_bursts == cfg.n_bursts
+
     def test_with_loss_swaps_only_the_channel(self):
         cfg = small_scenario()
         swapped = cfg.with_loss(14.0)

@@ -511,13 +511,13 @@ class TestCandidateEvaluation:
             model = build_link_model(sc)
             qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
             kx, eta_b = x_none_terms(model.x_table)
-            z_bound, x_bound = pipeline._click_bounds(qz_any, kx, eta_b)
+            z_bound, x_bounds = pipeline._click_bounds(qz_any, kx, eta_b)
             assert (qz_any <= z_bound).all()
             theta = np.linspace(0.0, 2.0 * math.pi, 2001)
             cos_t = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.cos(theta)])
             cls = np.repeat(np.arange(N_CLASSES), cos_t.size)
             q_x = pipeline._x_click_prob(kx, eta_b, cls, np.tile(cos_t, N_CLASSES))
-            assert (q_x <= x_bound).all()
+            assert (q_x <= x_bounds[cls]).all()
 
 
 class TestAttribution:

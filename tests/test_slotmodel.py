@@ -10,6 +10,7 @@ against independent python reimplementations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from tbqkd.slotmodel import (
     COL_NONE,
     COL_OUTSIDE,
     N_CLASSES,
+    GateTable,
     burst_parity,
     class_index,
     duty_factor,
@@ -50,9 +52,11 @@ from tbqkd.slotmodel import (
     x_none_terms,
     x_segments,
 )
-from tbqkd.slotmodel import _x_key_probs
+from tbqkd import slotmodel
+from tbqkd.slotmodel import _acceptance_region, _x_key_probs
 
-from conftest import row_major_outcome_probs, small_scenario
+from conftest import row_major_outcome_probs, scalar_link_model, small_scenario
+from test_pipeline import IDENTITY_SCENARIOS
 
 
 def ideal_source() -> "SourceConfig":
@@ -226,6 +230,75 @@ class TestOutcomeProbs:
         model = build_link_model(sc)
         probs = static_outcome(model.x_table)
         np.testing.assert_allclose(probs[:, COL_NONE], 1.0, atol=1e-15)
+
+
+def tdc_free_window_scenario():
+    """58.7 ps bin windows on a 192 ps TDC grid: the central window
+    holds no TDC value."""
+    return small_scenario(
+        detector=DetectorModel(
+            efficiency=0.10,
+            dark_prob_per_ns=1e-6,
+            bin_window=58.7e-12,
+            tdc_resolution=192e-12,
+        )
+    )
+
+
+GATE_TABLE_SCENARIOS = {
+    "link-7db": lambda: load_preset("link-7db"),
+    "link-14db": lambda: load_preset("link-14db"),
+    **{f"identity-{name}": make for name, make in IDENTITY_SCENARIOS.items()},
+    "jitter0": lambda: small_scenario(
+        detector=clean_detector(dark_prob_per_ns=1e-6)
+    ),
+    "infinite-extinction": lambda: small_scenario(source=ideal_source()),
+    "tdc-free-window": tdc_free_window_scenario,
+    # the arm delay one 42 ps TDC step longer than the 1462 ps separation
+    "delay-off-by-a-tdc-step": lambda: small_scenario(
+        interferometer=ifm(delay=1.504e-9)
+    ),
+}
+
+
+class TestGateTables:
+    @pytest.mark.parametrize("name", list(GATE_TABLE_SCENARIOS))
+    def test_equal_the_scalar_reference(self, name):
+        # every field bit for bit and of the same dtype: the batch engine
+        # and the oracle read these tables
+        sc = GATE_TABLE_SCENARIOS[name]()
+        got, want = build_link_model(sc), scalar_link_model(sc)
+        assert got.priors.dtype == want.priors.dtype
+        np.testing.assert_array_equal(got.priors, want.priors)
+        for detector in (Basis.Z, Basis.X):
+            for field in dataclasses.fields(GateTable):
+                a = getattr(got.table(detector), field.name)
+                b = getattr(want.table(detector), field.name)
+                assert type(a) is type(b), field.name
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                    np.testing.assert_array_equal(a, b, err_msg=field.name)
+                else:
+                    assert a == b, field.name
+
+    def test_edge_cases_reach_their_edges(self):
+        ideal = build_link_model(GATE_TABLE_SCENARIOS["infinite-extinction"]())
+        # a zero leak component drops out and the components shift
+        assert ideal.z_table.n_comp.max() == 2 and ideal.z_table.n_comp.min() == 0
+        assert (ideal.z_table.n_comp == 1).any()
+        assert (ideal.x_table.n_comp == 2).any()
+        sc = tdc_free_window_scenario()
+        regions = [
+            _acceptance_region(c, sc.detector)
+            for c in sc.framing.x_offsets.values()
+        ]
+        assert any(lo >= hi for lo, hi in regions)
+        assert GATE_TABLE_SCENARIOS["jitter0"]().detector.jitter_sigma_ps == 0.0
+        sc = GATE_TABLE_SCENARIOS["delay-off-by-a-tdc-step"]()
+        assert (
+            sc.interferometer.delay_ps - sc.framing.separation_ps
+            == sc.detector.tdc_resolution_ps
+        )
 
 
 class TestNoClickFactorization:
@@ -432,10 +505,9 @@ def per_burst_sums(scenario):
     parity = burst_parity(idx, fringe_block_bursts(scenario))
     keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
     sums = {}
+    key_probs = _x_key_probs(model)
     for spread in (0.0, 1.0, -1.0):
-        p_slot, q_any = _x_key_probs(
-            model, expected_cos_theta(scenario, idx, spread)
-        )
+        p_slot, q_any = key_probs(expected_cos_theta(scenario, idx, spread))
         p = p_slot[parity, np.arange(idx.size)] * duty_factor(q_any, slots)[:, None]
         for key in keys:
             rows = p[:, TALLY_KEYS.index(key)]
@@ -494,7 +566,22 @@ class TestSegmentQuadrature:
     )
     @pytest.mark.parametrize("servo", [0, 5], ids=["no-servo", "servo"])
     def test_matches_per_burst_sum(self, drift_sigma, servo):
+        self.check_per_burst_sum(segment_scenario(drift_sigma, servo))
+
+    @pytest.mark.parametrize("drift_sigma", [0.5, 5.0], ids=["drift", "fast-drift"])
+    @pytest.mark.parametrize("servo", [0, 5], ids=["no-servo", "servo"])
+    def test_matches_per_burst_sum_across_node_batches(
+        self, drift_sigma, servo, monkeypatch
+    ):
+        # every node set spans several batches, which several sets share
+        monkeypatch.setattr(slotmodel, "NODE_BATCH", 64)
         sc = segment_scenario(drift_sigma, servo)
+        nodes = slotmodel._quadrature_nodes(sc, *x_segments(sc), drift=True)
+        assert len(nodes) == 2 and min(pos.size for pos, _, _ in nodes) > 2 * 64
+        self.check_per_burst_sum(sc)
+
+    @staticmethod
+    def check_per_burst_sum(sc):
         means, variances, drift, eligible = per_burst_sums(sc)
         got = analytic_expected_tallies(sc)
         assert got.eligible_bursts == eligible
