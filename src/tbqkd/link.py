@@ -13,6 +13,7 @@ cross-checked against this one in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -24,6 +25,12 @@ from .errors import DelayMismatchError, DomainError
 from .ppg import BurstSchedule, Framing
 from .protocol import Basis, Bin
 from .source import OpticalPulse
+
+# enum members bound once: on Python 3.11 looking a member up on its
+# class costs about 0.1 us, which the reference engine pays several
+# times per slot
+_EARLY, _CENTRAL, _LATE = Bin.EARLY, Bin.CENTRAL, Bin.LATE
+_BASIS_Z, _BASIS_X = Basis.Z, Basis.X
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class ChannelModel:
             return self.loss_db
         return self.alpha_db_per_km * self.length_km
 
-    @property
+    @functools.cached_property
     def transmission(self) -> float:
         return 10.0 ** (-self.total_loss_db / 10.0)
 
@@ -97,27 +104,27 @@ class DetectorModel:
                 f"tdc_resolution must be > 0, got {self.tdc_resolution}"
             )
 
-    @property
+    @functools.cached_property
     def dead_time_ps(self) -> int:
         return round(self.dead_time * 1e12)
 
-    @property
+    @functools.cached_property
     def gate_width_ps(self) -> int:
         return round(self.gate_width * 1e12)
 
-    @property
+    @functools.cached_property
     def bin_window_ps(self) -> float:
         return self.bin_window * 1e12
 
-    @property
+    @functools.cached_property
     def jitter_sigma_ps(self) -> float:
         return self.jitter_sigma * 1e12
 
-    @property
+    @functools.cached_property
     def tdc_resolution_ps(self) -> int:
         return max(1, round(self.tdc_resolution * 1e12))
 
-    @property
+    @functools.cached_property
     def dark_prob_per_gate(self) -> float:
         return self.dark_prob_per_ns * self.gate_width * 1e9
 
@@ -152,7 +159,7 @@ class InterferometerModel:
                 f"{self.stabilization_interval}"
             )
 
-    @property
+    @functools.cached_property
     def delay_ps(self) -> int:
         return round(self.delay * 1e12)
 
@@ -175,7 +182,18 @@ def transmit(
 ) -> list[OpticalPulse]:
     """Scale every pulse's mean photon number by the channel transmission."""
     t = channel.transmission
-    return [p.attenuated(t) for p in pulses]
+    return [
+        OpticalPulse(
+            p.start_ps,
+            p.width_ps,
+            p.mean_photons * t,
+            p.phase,
+            p.bin_label,
+            p.burst_index,
+            p.slot_index,
+        )
+        for p in pulses
+    ]
 
 
 def interfere(
@@ -195,8 +213,8 @@ def interfere(
     """
     if not symbol_pulses:
         raise DomainError("interfere needs at least one pulse")
-    early = [p for p in symbol_pulses if p.bin_label == Bin.EARLY]
-    late = [p for p in symbol_pulses if p.bin_label == Bin.LATE]
+    early = [p for p in symbol_pulses if p.bin_label == _EARLY]
+    late = [p for p in symbol_pulses if p.bin_label == _LATE]
     if len(early) > 1 or len(late) > 1 or len(early) + len(late) != len(symbol_pulses):
         raise DomainError("expected at most one early and one late pulse per symbol")
 
@@ -221,21 +239,12 @@ def interfere(
     cross = 0.5 * ifm.visibility * math.sqrt(mu_e * mu_l) * math.cos(theta)
     central = max(0.0, (mu_e + mu_l) / 4.0 + cross)
 
-    def out(start_ps: int, mean: float, label: Bin) -> OpticalPulse:
-        return OpticalPulse(
-            start_ps=start_ps,
-            width_ps=anchor.width_ps,
-            mean_photons=mean,
-            phase=anchor.phase,
-            bin_label=label,
-            burst_index=anchor.burst_index,
-            slot_index=anchor.slot_index,
-        )
-
+    width, phase = anchor.width_ps, anchor.phase
+    b, s = anchor.burst_index, anchor.slot_index
     return [
-        out(t_early, mu_e / 4.0, Bin.EARLY),
-        out(t_early + delay_ps, central, Bin.CENTRAL),
-        out(t_early + 2 * delay_ps, mu_l / 4.0, Bin.LATE),
+        OpticalPulse(t_early, width, mu_e / 4.0, phase, _EARLY, b, s),
+        OpticalPulse(t_early + delay_ps, width, central, phase, _CENTRAL, b, s),
+        OpticalPulse(t_early + 2 * delay_ps, width, mu_l / 4.0, phase, _LATE, b, s),
     ]
 
 
@@ -278,11 +287,14 @@ def detect(
     tdc = det.tdc_resolution_ps
     half_window = det.bin_window_ps / 2.0
     lam_dark = det.dark_prob_per_gate
+    # the gate start of slot (b, s), as schedule.slot_start_ps gives it
+    burst_ps = schedule.plan.burst_period_ps
+    symbol_ps = schedule.plan.symbol_period_ps
 
     events: list[DetectionEvent] = []
     dead_until = -math.inf
     for b, s in slots:
-        gate_start = schedule.slot_start_ps(b, s)
+        gate_start = b * burst_ps + s * symbol_ps
         candidates: list[tuple[float, bool]] = []
         for pulse in by_slot.get((b, s), ()):
             p_click = 1.0 - math.exp(-pulse.mean_photons * eta)
@@ -365,7 +377,7 @@ def receiver_basis(rng: np.random.Generator, p_z_receiver: float) -> Basis:
         raise DomainError(
             f"p_z_receiver must lie strictly in (0, 1), got {p_z_receiver}"
         )
-    return Basis.Z if rng.random() < p_z_receiver else Basis.X
+    return _BASIS_Z if rng.random() < p_z_receiver else _BASIS_X
 
 
 @dataclass(frozen=True)

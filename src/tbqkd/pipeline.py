@@ -473,26 +473,32 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     block = fringe_block_bursts(scenario)
     parity_all = burst_parity(idx_all, block)
     channel = scenario.channel
+    source = scenario.source
+    p_z_receiver = scenario.p_z_receiver
     det = scenario.detector
     ifm = scenario.interferometer
     framing = scenario.framing
     words = [encode_state(state, framing) for state in State]
+    # slot (b, s) starts at b * burst_ps + s * symbol_ps, as
+    # schedule.slot_start_ps gives it
+    burst_ps = schedule.plan.burst_period_ps
+    symbol_ps = schedule.plan.symbol_period_ps
+    basis_z = Basis.Z
 
     sent: list[Symbol] = []
     events = []
     for b in np.flatnonzero(~excluded_mask).tolist():
         z_pulses = []
         x_groups = []
+        burst_start = b * burst_ps
         for s in range(slots):
             sym = sample_symbol(sym_rng, params, b, s)
             frag = serialize_word(
-                words[sym.state], framing, schedule.slot_start_ps(b, s), b, s
+                words[sym.state], framing, burst_start + s * symbol_ps, b, s
             )
-            pulses = transmit(
-                modulate(sym, frag, params, scenario.source, framing), channel
-            )
+            pulses = transmit(modulate(sym, frag, params, source, framing), channel)
             sent.append(sym)
-            if receiver_basis(sym_rng, scenario.p_z_receiver) == Basis.Z:
+            if receiver_basis(sym_rng, p_z_receiver) == basis_z:
                 z_pulses.extend(pulses)
             else:
                 x_groups.append(pulses)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     EncodingOverflowError,
@@ -46,7 +47,7 @@ class ClockConfig:
     def bit_rate(self) -> float:
         return 2.0 * self.f_out
 
-    @property
+    @functools.cached_property
     def bit_duration_ps(self) -> int:
         """Bit duration rounded to the picosecond grid (625 ps at 800 MHz,
         731 ps at 684 MHz)."""
@@ -90,6 +91,12 @@ class Framing:
         return (early,), (late,), (early, late)
 
     @functools.cached_property
+    def labels(self) -> tuple[tuple[Bin, ...], ...]:
+        """Bins of each state's pulses, in time order, indexed by State
+        value."""
+        return tuple(tuple(label for _, label in bits) for bits in self.bits)
+
+    @functools.cached_property
     def words(self) -> tuple[int, ...]:
         """8-bit serial word of each state, indexed by State value; set
         bits count from the MSB so the integer's binary literal reads in
@@ -98,26 +105,42 @@ class Framing:
             sum(1 << (WORD_BITS - 1 - pos) for pos, _ in bits) for bits in self.bits
         )
 
-    @property
+    @functools.cached_property
+    def word_pulses(self) -> Mapping[int, tuple[tuple[int, Bin], ...]]:
+        """(offset in ps from the word start, bin) of each pulse, keyed
+        by the serial word of each state."""
+        bit_ps = self.clock.bit_duration_ps
+        return MappingProxyType(
+            {
+                word: tuple((pos * bit_ps, label) for pos, label in bits)
+                for word, bits in zip(self.words, self.bits)
+            }
+        )
+
+    @functools.cached_property
     def separation_ps(self) -> int:
         """Early-to-late pulse spacing on the picosecond grid."""
         return (self.gap_bits + 1) * self.clock.bit_duration_ps
 
-    @property
-    def z_offsets(self) -> dict[Bin, float]:
+    @functools.cached_property
+    def z_offsets(self) -> Mapping[Bin, float]:
         """Bin-center offsets (ps) from the slot start on the direct path."""
         early = (self.shift + 0.5) * self.clock.bit_duration_ps
-        return {Bin.EARLY: early, Bin.LATE: early + self.separation_ps}
+        return MappingProxyType(
+            {Bin.EARLY: early, Bin.LATE: early + self.separation_ps}
+        )
 
-    @property
-    def x_offsets(self) -> dict[Bin, float]:
+    @functools.cached_property
+    def x_offsets(self) -> Mapping[Bin, float]:
         """Bin-center offsets (ps) on the interferometer path: the long
         arm delays each pulse by one separation, so the central bin
         interferes early and late and the late output lands one
         separation after the direct late bin."""
         early = (self.shift + 0.5) * self.clock.bit_duration_ps
         sep = self.separation_ps
-        return {Bin.EARLY: early, Bin.CENTRAL: early + sep, Bin.LATE: early + 2 * sep}
+        return MappingProxyType(
+            {Bin.EARLY: early, Bin.CENTRAL: early + sep, Bin.LATE: early + 2 * sep}
+        )
 
 
 CANONICAL = Framing()
@@ -143,7 +166,7 @@ def decode_word(word: int, framing: Framing = CANONICAL) -> State:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pulse:
     """One rectangular optical pulse on the integer-picosecond timeline."""
 
@@ -152,6 +175,24 @@ class Pulse:
     bin_label: Bin
     burst_index: int = 0
     slot_index: int = 0
+
+    def __init__(
+        self,
+        start_ps: int,
+        width_ps: int,
+        bin_label: Bin,
+        burst_index: int = 0,
+        slot_index: int = 0,
+    ) -> None:
+        # stored in the instance dict: the generated frozen __init__ pays
+        # an object.__setattr__ per field, on every slot of the
+        # reference engine
+        d = self.__dict__
+        d["start_ps"] = start_ps
+        d["width_ps"] = width_ps
+        d["bin_label"] = bin_label
+        d["burst_index"] = burst_index
+        d["slot_index"] = slot_index
 
 
 def serialize_word(
@@ -167,16 +208,13 @@ def serialize_word(
     The word must decode under the framing; pulses are labeled
     early/late accordingly.
     """
+    pulses = framing.word_pulses.get(word)
+    if pulses is None:
+        decode_word(word, framing)  # raises: the word is no state's
     bit_ps = framing.clock.bit_duration_ps
     return [
-        Pulse(
-            start_ps=t0_ps + pos * bit_ps,
-            width_ps=bit_ps,
-            bin_label=label,
-            burst_index=burst_index,
-            slot_index=slot_index,
-        )
-        for pos, label in framing.bits[decode_word(word, framing)]
+        Pulse(t0_ps + offset, bit_ps, label, burst_index, slot_index)
+        for offset, label in pulses
     ]
 
 
@@ -206,11 +244,11 @@ class BurstPlan:
                 f"{self.symbols_per_burst} x {self.symbol_period}"
             )
 
-    @property
+    @functools.cached_property
     def symbol_period_ps(self) -> int:
         return round(self.symbol_period * 1e12)
 
-    @property
+    @functools.cached_property
     def burst_period_ps(self) -> int:
         return round(self.burst_period * 1e12)
 

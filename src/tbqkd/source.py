@@ -4,12 +4,20 @@ decoy intensity selection, and the per-symbol global phase."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, TimelineMismatchError
 from .ppg import Framing, Pulse
 from .protocol import Bin, IntensityClass, ProtocolParams, State, Symbol
+
+# enum members bound once: on Python 3.11 looking a member up on its
+# class costs about 0.1 us, which the reference engine pays several
+# times per slot
+_Z0, _Z1, _XPLUS = State.Z0, State.Z1, State.XPlus
+_EARLY, _LATE = Bin.EARLY, Bin.LATE
+_DECOY = IntensityClass.Decoy
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class SourceConfig:
         if self.im_ratio is not None and not (0.0 < self.im_ratio < 1.0):
             raise DomainError(f"im_ratio must lie in (0, 1), got {self.im_ratio}")
 
-    @property
+    @functools.cached_property
     def leak_fraction(self) -> float:
         """Mean-photon fraction leaking into a nominally empty bin."""
         if math.isinf(self.extinction_ratio_db):
@@ -53,7 +61,7 @@ class SourceConfig:
         return self.im_ratio if self.im_ratio is not None else params.mu2 / params.mu1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OpticalPulse:
     """A weak coherent pulse: geometry plus mean photon number and phase."""
 
@@ -65,26 +73,33 @@ class OpticalPulse:
     burst_index: int = 0
     slot_index: int = 0
 
-    def __post_init__(self) -> None:
-        if self.mean_photons < 0.0:
-            raise DomainError(f"mean_photons must be >= 0, got {self.mean_photons}")
+    def __init__(
+        self,
+        start_ps: int,
+        width_ps: int,
+        mean_photons: float,
+        phase: float,
+        bin_label: Bin,
+        burst_index: int = 0,
+        slot_index: int = 0,
+    ) -> None:
+        if mean_photons < 0.0:
+            raise DomainError(f"mean_photons must be >= 0, got {mean_photons}")
+        # stored in the instance dict: the generated frozen __init__ pays
+        # an object.__setattr__ per field, on every pulse of the
+        # reference engine
+        d = self.__dict__
+        d["start_ps"] = start_ps
+        d["width_ps"] = width_ps
+        d["mean_photons"] = mean_photons
+        d["phase"] = phase
+        d["bin_label"] = bin_label
+        d["burst_index"] = burst_index
+        d["slot_index"] = slot_index
 
     @property
     def center_ps(self) -> float:
         return self.start_ps + self.width_ps / 2.0
-
-    def attenuated(self, transmission: float) -> "OpticalPulse":
-        # built directly: dataclasses.replace costs several times as much
-        # on the reference engine's path, which copies every pulse
-        return OpticalPulse(
-            start_ps=self.start_ps,
-            width_ps=self.width_ps,
-            mean_photons=self.mean_photons * transmission,
-            phase=self.phase,
-            bin_label=self.bin_label,
-            burst_index=self.burst_index,
-            slot_index=self.slot_index,
-        )
 
 
 def modulate(
@@ -104,51 +119,51 @@ def modulate(
     pass the first modulator's transmission, so a non-ideal im_ratio or
     im1_transmission_x shows up faithfully.
     """
-    expected = tuple(label for _, label in framing.bits[symbol.state])
-    got = tuple(p.bin_label for p in fragment)
+    state = symbol.state
+    expected = framing.labels[state]
+    got = tuple([p.bin_label for p in fragment])
     if got != expected:
         raise TimelineMismatchError(
             f"fragment bins {tuple(b.name for b in got)} do not match state "
-            f"{symbol.state.name} (expected {tuple(b.name for b in expected)})"
+            f"{state.name} (expected {tuple(b.name for b in expected)})"
         )
 
-    scale = cfg.ratio(params) if symbol.intensity == IntensityClass.Decoy else 1.0
+    scale = cfg.ratio(params) if symbol.intensity == _DECOY else 1.0
     mu_on = params.mu1 * scale
-    x_factor = cfg.im1_transmission_x
-
-    out: list[OpticalPulse] = []
-    for pulse in fragment:
-        mean = mu_on * (x_factor if symbol.state == State.XPlus else 1.0)
-        out.append(
-            OpticalPulse(
-                start_ps=pulse.start_ps,
-                width_ps=pulse.width_ps,
-                mean_photons=mean,
-                phase=symbol.phase,
-                bin_label=pulse.bin_label,
-                burst_index=pulse.burst_index,
-                slot_index=pulse.slot_index,
-            )
+    mean = mu_on * cfg.im1_transmission_x if state == _XPLUS else mu_on
+    phase = symbol.phase
+    out = [
+        OpticalPulse(
+            p.start_ps,
+            p.width_ps,
+            mean,
+            phase,
+            p.bin_label,
+            p.burst_index,
+            p.slot_index,
         )
+        for p in fragment
+    ]
 
     leak = cfg.leak_fraction
-    if leak > 0.0 and symbol.state in (State.Z0, State.Z1):
+    if leak > 0.0 and state in (_Z0, _Z1):
+        # the one real pulse and its leak, in time order
         anchor = fragment[0]
         sep = framing.separation_ps
-        if symbol.state == State.Z0:
-            leak_bin, leak_start = Bin.LATE, anchor.start_ps + sep
+        if state == _Z0:
+            leak_bin, leak_start, at = _LATE, anchor.start_ps + sep, 1
         else:
-            leak_bin, leak_start = Bin.EARLY, anchor.start_ps - sep
-        out.append(
+            leak_bin, leak_start, at = _EARLY, anchor.start_ps - sep, 0
+        out.insert(
+            at,
             OpticalPulse(
-                start_ps=leak_start,
-                width_ps=anchor.width_ps,
-                mean_photons=mu_on * leak,
-                phase=symbol.phase,
-                bin_label=leak_bin,
-                burst_index=anchor.burst_index,
-                slot_index=anchor.slot_index,
-            )
+                leak_start,
+                anchor.width_ps,
+                mu_on * leak,
+                phase,
+                leak_bin,
+                anchor.burst_index,
+                anchor.slot_index,
+            ),
         )
-        out.sort(key=lambda p: p.start_ps)
     return out

@@ -125,6 +125,20 @@ class TestSerialization:
         pulses = serialize_word(0b10100000, FRAMING_800, t0_ps=5000)
         assert [p.start_ps for p in pulses] == [5000, 6250]
 
+    @pytest.mark.parametrize(
+        "word,framing",
+        [
+            (0b11100000, FRAMING_800),
+            (0, FRAMING_800),
+            (256, FRAMING_800),
+            (-128, FRAMING_800),
+            (0b10000000, Framing(shift=1)),
+        ],
+    )
+    def test_words_of_no_state_are_refused(self, word, framing):
+        with pytest.raises(InvalidWordError):
+            serialize_word(word, framing)
+
     def test_pulse_count_matches_set_bits(self):
         for state, shift, gap in itertools.product(State, range(6), range(1, 4)):
             if not fits(shift, gap):

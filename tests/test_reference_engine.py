@@ -1,0 +1,403 @@
+"""The reference engine's pinned outcomes, its per-slot call chain and
+the value semantics of the objects it passes along.
+
+The records below are whole RunOutcomes (timings take no part in
+equality) and detector event lists of the event-by-event chain. They pin
+the RNG stream, the order of its scalar draws and the absolute-grid TDC
+of link.detect, which rounds the absolute click time to the TDC step. A
+change that moves any of these changes a record here, and must replace
+the record knowingly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import tbqkd.link as link
+import tbqkd.pipeline as pipeline
+from tbqkd import (
+    Basis,
+    Bin,
+    BurstPlan,
+    DetectionEvent,
+    DetectorModel,
+    InterferometerModel,
+    IntensityClass,
+    OpticalPulse,
+    Pulse,
+    RunOutcome,
+    SiftResult,
+    SourceConfig,
+    State,
+    Symbol,
+    TallyCounts,
+    TALLY_KEYS,
+    detect_x,
+    detect_z,
+    plan_bursts,
+    run_simulation_reference,
+)
+from tbqkd.errors import DomainError
+
+from conftest import small_scenario
+
+DURATION = 0.01  # 417 bursts of 20 slots
+
+
+def _detector(**changes) -> DetectorModel:
+    return dataclasses.replace(small_scenario().detector, **changes)
+
+
+def _drift_servo():
+    ifm = dataclasses.replace(
+        small_scenario().interferometer,
+        drift_sigma=0.5,
+        stabilization_interval=0.004,
+    )
+    return small_scenario(
+        duration=DURATION, seed=13, interferometer=ifm, servo_bursts_per_event=4
+    )
+
+
+IDENTITY_SET = {
+    "small": lambda: small_scenario(duration=DURATION),
+    "gap_bits2": lambda: small_scenario(
+        duration=DURATION,
+        seed=12,
+        gap_bits=2,
+        interferometer=dataclasses.replace(
+            small_scenario().interferometer, delay=2.193e-9
+        ),
+    ),
+    "drift_servo": _drift_servo,
+    "blind_dark1e-6": lambda: small_scenario(
+        duration=DURATION,
+        seed=14,
+        detector=_detector(efficiency=0.0, dark_prob_per_ns=1e-6),
+    ),
+    "0db_eff0.5": lambda: small_scenario(
+        duration=DURATION, seed=15, detector=_detector(efficiency=0.5)
+    ).with_loss(0.0),
+    "infinite_extinction": lambda: small_scenario(
+        duration=DURATION,
+        seed=16,
+        source=SourceConfig(extinction_ratio_db=math.inf, im1_transmission_x=0.5),
+    ),
+    "jitter0": lambda: small_scenario(
+        duration=DURATION, seed=17, detector=_detector(jitter_sigma=0.0)
+    ),
+}
+
+# per scenario: tallies in TALLY_KEYS order, sent_counts, elapsed_s,
+# the four discard counters of SiftResult, eligible and total bursts,
+# symbols sent
+RECORDS = {
+    "small": dict(
+        tallies=(54, 8, 1, 0, 3, 0, 0, 0),
+        sent=((2394, 1388), (2354, 1394), (511, 299)),
+        elapsed_s=0.001668,
+        discards=(39, 0, 1, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+    "gap_bits2": dict(
+        tallies=(58, 17, 2, 0, 1, 1, 0, 0),
+        sent=((2396, 1375), (2419, 1340), (544, 266)),
+        elapsed_s=0.001668,
+        discards=(40, 0, 4, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+    "drift_servo": dict(
+        tallies=(49, 12, 1, 0, 2, 0, 0, 0),
+        sent=((2291, 1332), (2346, 1368), (467, 296)),
+        elapsed_s=0.00162,
+        discards=(43, 0, 1, 0),
+        eligible_bursts=405,
+        total_bursts=417,
+        symbols_sent=8100,
+    ),
+    "blind_dark1e-6": dict(
+        tallies=(0, 0, 0, 0, 0, 0, 0, 0),
+        sent=((2315, 1419), (2396, 1394), (504, 312)),
+        elapsed_s=0.001668,
+        discards=(0, 0, 0, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+    "0db_eff0.5": dict(
+        tallies=(238, 67, 3, 2, 23, 2, 0, 0),
+        sent=((2311, 1347), (2369, 1440), (548, 325)),
+        elapsed_s=0.001668,
+        discards=(294, 3, 13, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+    "infinite_extinction": dict(
+        tallies=(54, 9, 0, 0, 9, 1, 0, 0),
+        sent=((2343, 1383), (2421, 1376), (485, 332)),
+        elapsed_s=0.001668,
+        discards=(42, 1, 2, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+    "jitter0": dict(
+        tallies=(66, 6, 0, 1, 1, 1, 0, 0),
+        sent=((2331, 1425), (2386, 1371), (525, 302)),
+        elapsed_s=0.001668,
+        discards=(34, 0, 1, 0),
+        eligible_bursts=417,
+        total_bursts=417,
+        symbols_sent=8340,
+    ),
+}
+
+
+def pinned_outcome(rec: dict) -> RunOutcome:
+    tallies = TallyCounts(
+        **dict(zip(TALLY_KEYS, rec["tallies"])),
+        sent_counts=rec["sent"],
+        elapsed_s=rec["elapsed_s"],
+    )
+    return RunOutcome(
+        tallies=tallies,
+        sift_stats=SiftResult(tallies, *rec["discards"]),
+        eligible_bursts=rec["eligible_bursts"],
+        total_bursts=rec["total_bursts"],
+        symbols_sent=rec["symbols_sent"],
+        elapsed_s=rec["elapsed_s"],
+    )
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_SET))
+def test_outcome_equals_the_pinned_record(name):
+    assert run_simulation_reference(IDENTITY_SET[name]()) == pinned_outcome(
+        RECORDS[name]
+    )
+
+
+# one detector call on each path: two bursts of 20 gates, no dead time,
+# so every slot can click; darks at 5e-3 per ns fill some empty gates
+DET = DetectorModel(efficiency=0.5, dead_time=0.0, dark_prob_per_ns=5e-3)
+FRAMING = small_scenario().framing
+SCHEDULE = plan_bursts(BurstPlan(symbols_per_burst=20, n_bursts=2), FRAMING.clock)
+GATED = [(b, s) for b in range(2) for s in range(20)]
+
+
+def _pulse(b, s, label, mean):
+    bit = FRAMING.early if label == Bin.EARLY else FRAMING.late
+    start = SCHEDULE.slot_start_ps(b, s) + bit * FRAMING.clock.bit_duration_ps
+    return OpticalPulse(
+        start_ps=start,
+        width_ps=FRAMING.clock.bit_duration_ps,
+        mean_photons=mean,
+        phase=0.3,
+        bin_label=label,
+        burst_index=b,
+        slot_index=s,
+    )
+
+
+def _z_pulses():
+    """An early pulse in every third slot, a late one in the next, and
+    an empty gate in the third."""
+    out = []
+    for b, s in GATED:
+        if s % 3 < 2:
+            out.append(_pulse(b, s, (Bin.EARLY, Bin.LATE)[s % 3], 2.0))
+    return out
+
+
+def _x_groups():
+    """XPlus pairs in even slots, a lone early pulse in odd ones."""
+    groups = []
+    for b, s in GATED:
+        group = [_pulse(b, s, Bin.EARLY, 1.0)]
+        if s % 2 == 0:
+            group.append(_pulse(b, s, Bin.LATE, 1.0))
+        groups.append(group)
+    return groups
+
+
+DETECT_Z_EVENTS = [
+    (201894, "LATE", False),
+    (600264, "EARLY", False),
+    (1200612, "EARLY", False),
+    (2001930, "LATE", False),
+    (2601774, "LATE", False),
+    (3201786, "LATE", False),
+    (3801672, "LATE", False),
+    (24201660, "LATE", False),
+    (24600324, "EARLY", False),
+    (24801672, "LATE", False),
+    (25004784, "OUTSIDE", True),
+    (26601876, "LATE", False),
+    (27000162, "EARLY", False),
+    (27201678, "LATE", False),
+    (27600174, "EARLY", False),
+    (27801774, "LATE", False),
+]
+DETECT_X_EVENTS = [
+    (1428, "CENTRAL", False),
+    (400428, "EARLY", False),
+    (600558, "EARLY", False),
+    (801696, "CENTRAL", False),
+    (1001574, "CENTRAL", False),
+    (1601796, "CENTRAL", False),
+    (1802136, "CENTRAL", False),
+    (2002098, "CENTRAL", False),
+    (2200128, "EARLY", False),
+    (2401770, "CENTRAL", False),
+    (3601206, "OUTSIDE", True),
+    (24401664, "CENTRAL", False),
+    (24801882, "CENTRAL", False),
+    (25211508, "OUTSIDE", True),
+    (26001990, "CENTRAL", False),
+    (26401872, "CENTRAL", False),
+    (27201846, "CENTRAL", False),
+    (27600216, "EARLY", False),
+]
+
+
+def _event_list(events):
+    return [(ev.timestamp_ps, ev.bin.name, ev.is_dark) for ev in events]
+
+
+def test_detect_z_events_equal_the_pinned_list():
+    events = detect_z(
+        _z_pulses(), DET, SCHEDULE, np.random.default_rng(5), FRAMING, GATED
+    )
+    assert all(ev.basis == Basis.Z for ev in events)
+    assert _event_list(events) == DETECT_Z_EVENTS
+
+
+def test_detect_x_events_equal_the_pinned_list():
+    ifm = InterferometerModel(delay=FRAMING.separation_ps * 1e-12)
+    events = detect_x(
+        _x_groups(), ifm, 0.7, DET, SCHEDULE, np.random.default_rng(6), FRAMING, GATED
+    )
+    assert all(ev.basis == Basis.X for ev in events)
+    assert _event_list(events) == DETECT_X_EVENTS
+
+
+# the bindings the benchmark's tracer patches on the reference path
+PER_SLOT = ("sample_symbol", "serialize_word", "modulate", "transmit", "receiver_basis")
+PER_BURST = ("detect_z", "detect_x")
+
+
+def test_chain_runs_event_by_event(monkeypatch):
+    """One call per eligible slot of each per-slot op, one detector call
+    per eligible burst and path, one interfere per X-routed slot and one
+    sift per run."""
+    calls = dict.fromkeys((*PER_SLOT, *PER_BURST, "sift", "interfere"), 0)
+    x_routed = 0
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            nonlocal x_routed
+            calls[name] += 1
+            out = inner(*args, **kwargs)
+            if name == "receiver_basis" and out == Basis.X:
+                x_routed += 1
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in (*PER_SLOT, *PER_BURST, "sift"):
+        counting(pipeline, name)
+    counting(link, "interfere")
+
+    sc = IDENTITY_SET["drift_servo"]()
+    outcome = run_simulation_reference(sc)
+    assert outcome == pinned_outcome(RECORDS["drift_servo"])
+    slots = sc.params.symbols_per_burst
+    assert 0 < outcome.eligible_bursts < sc.n_bursts
+    for name in PER_SLOT:
+        assert calls[name] == outcome.eligible_bursts * slots, name
+    for name in PER_BURST:
+        assert calls[name] == outcome.eligible_bursts, name
+    assert 0 < x_routed < outcome.eligible_bursts * slots
+    assert calls["interfere"] == x_routed
+    assert calls["sift"] == 1
+
+
+# one instance of each object the chain passes along, and a field to
+# change in it
+OBJECTS = {
+    "OpticalPulse": (
+        lambda: OpticalPulse(1462, 731, 0.25, 1.5, Bin.LATE, 3, 7),
+        "mean_photons",
+        0.5,
+    ),
+    "Pulse": (lambda: Pulse(731, 731, Bin.EARLY, 2, 5), "start_ps", 0),
+    "Symbol": (
+        lambda: Symbol(State.XPlus, IntensityClass.Decoy, 2.5, 4, 9),
+        "phase",
+        0.5,
+    ),
+    "DetectionEvent": (
+        lambda: DetectionEvent(4200, 1, 2, Bin.CENTRAL, Basis.X, True),
+        "timestamp_ps",
+        4242,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OBJECTS))
+class TestObjectSemantics:
+    def test_fields_are_frozen(self, name):
+        make, field, value = OBJECTS[name]
+        obj = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, field)
+
+    def test_equality_and_hash_are_by_value(self, name):
+        make, field, value = OBJECTS[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        changed = dataclasses.replace(a, **{field: value})
+        assert changed != a and getattr(changed, field) == value
+        assert dataclasses.astuple(changed) != dataclasses.astuple(a)
+
+    def test_repr_names_every_field(self, name):
+        obj = OBJECTS[name][0]()
+        fields = ", ".join(
+            f"{f.name}={getattr(obj, f.name)!r}" for f in dataclasses.fields(obj)
+        )
+        assert repr(obj) == f"{name}({fields})"
+
+
+def test_negative_mean_photons_is_refused():
+    with pytest.raises(DomainError, match="mean_photons"):
+        OpticalPulse(
+            start_ps=0,
+            width_ps=731,
+            mean_photons=-1e-9,
+            phase=0.0,
+            bin_label=Bin.EARLY,
+        )
+
+
+def test_replace_runs_the_checks():
+    pulse = OBJECTS["OpticalPulse"][0]()
+    with pytest.raises(DomainError, match="mean_photons"):
+        dataclasses.replace(pulse, mean_photons=-1.0)
+    symbol = OBJECTS["Symbol"][0]()
+    with pytest.raises(DomainError, match="phase"):
+        dataclasses.replace(symbol, phase=2.0 * math.pi)
+    with pytest.raises(DomainError, match="phase"):
+        Symbol(State.Z0, IntensityClass.Signal, -0.1)
