@@ -67,15 +67,12 @@ from .pipeline import (
     simulate_and_analyze,
 )
 from .ppg import (
-    BurstPlan,
-    BurstSchedule,
     ClockConfig,
     Framing,
     Pulse,
     decode_word,
     encode_state,
     pattern_timeline,
-    plan_bursts,
     serialize_word,
 )
 from .protocol import (

@@ -7,7 +7,6 @@ stderr), 3 degenerate statistics (outputs still written, skl = 0).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -182,8 +181,7 @@ def pattern(
     if bursts < 1:
         _fail_config(f"--bursts must be >= 1, got {bursts}")
     try:
-        plan = dataclasses.replace(cfg.plan, n_bursts=bursts)
-        pulses = list(pattern_timeline(cycle, plan, cfg.framing))
+        pulses = list(pattern_timeline(cycle, cfg.params, cfg.framing, bursts))
     except TbqkdError as exc:
         _fail_config(str(exc))
     out_path = _out_dir(out, cfg) / "pattern.csv"

@@ -4,8 +4,8 @@ YAML round-tripping, and shipped presets.
 A scenario pins the transmitter (protocol probabilities, serializer
 clock, modulator imperfections), the channel, the receiver (detector,
 interferometer, passive basis split), the security parameters, and the
-run plan (duration, seed, fringe/servo bookkeeping). Burst scheduling is
-derived from the protocol timing rather than stored twice.
+run plan (duration, seed, fringe/servo bookkeeping). Slot timing is the
+protocol's own (ProtocolParams), checked here against the clock.
 """
 
 from __future__ import annotations
@@ -14,35 +14,42 @@ import dataclasses
 import functools
 import importlib.resources
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    EncodingOverflowError,
-    ScheduleViolationError,
-)
+from .errors import ConfigError, DomainError, EncodingOverflowError
 from .keyrate import SecurityParams
 from .link import ChannelModel, DetectorModel, InterferometerModel
-from .ppg import BurstPlan, BurstSchedule, ClockConfig, Framing, plan_bursts
+from .ppg import WORD_BITS, ClockConfig, Framing
 from .protocol import ProtocolParams
 from .source import SourceConfig
 
 SCHEMA_VERSION = 1
 
-_SECTIONS: dict[str, type] = {
-    "protocol": ProtocolParams,
-    "clock": ClockConfig,
-    "source": SourceConfig,
-    "channel": ChannelModel,
-    "detector": DetectorModel,
-    "interferometer": InterferometerModel,
-    "security": SecurityParams,
+# YAML section: (ScenarioConfig attribute, section class)
+_SECTIONS: dict[str, tuple[str, type]] = {
+    "protocol": ("params", ProtocolParams),
+    "clock": ("clock", ClockConfig),
+    "source": ("source", SourceConfig),
+    "channel": ("channel", ChannelModel),
+    "detector": ("detector", DetectorModel),
+    "interferometer": ("interferometer", InterferometerModel),
+    "security": ("security", SecurityParams),
 }
+# ScenarioConfig fields of the YAML run section, in output order
+_RUN_KEYS = (
+    "duration",
+    "seed",
+    "shift",
+    "gap_bits",
+    "fringe_block_x_symbols",
+    "servo_bursts_per_event",
+    "out_dir",
+)
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,16 @@ class ScenarioConfig:
         # burst and detector is the only one
         try:
             sep = self.framing.separation_ps
-            gap_ps = self.schedule().gap_ps
-        except (EncodingOverflowError, ScheduleViolationError) as exc:
+        except EncodingOverflowError as exc:
             raise ConfigError(str(exc)) from exc
         params, det = self.params, self.detector
+        word_ps = WORD_BITS * self.clock.bit_duration_ps
+        if params.symbol_period_ps < word_ps:
+            raise ConfigError(
+                f"symbol_period {params.symbol_period_ps} ps is shorter than the "
+                f"{WORD_BITS}-bit word duration {word_ps} ps at "
+                f"f_out={self.clock.f_out:g} Hz"
+            )
         if abs(self.interferometer.delay_ps - sep) > det.tdc_resolution_ps:
             raise ConfigError(
                 f"interferometer delay {self.interferometer.delay_ps} ps must "
@@ -101,11 +114,11 @@ class ScenarioConfig:
                 f"early/late separation {sep} ps"
             )
         span = (params.symbols_per_burst - 1) * params.symbol_period + det.gate_width
-        if det.dead_time < span or det.dead_time_ps > gap_ps:
+        if det.dead_time < span or det.dead_time_ps > params.gap_ps:
             raise ConfigError(
                 f"detector dead time {det.dead_time_ps} ps must cover the "
                 f"rest of a burst ({round(span * 1e12)} ps) and not exceed "
-                f"the gap between bursts ({gap_ps} ps)"
+                f"the gap between bursts ({params.gap_ps} ps)"
             )
 
     @functools.cached_property
@@ -116,19 +129,6 @@ class ScenarioConfig:
     @property
     def n_bursts(self) -> int:
         return max(1, round(self.duration / self.params.burst_period))
-
-    @functools.cached_property
-    def plan(self) -> BurstPlan:
-        """Burst structure of the run, built once per scenario."""
-        return BurstPlan(
-            symbols_per_burst=self.params.symbols_per_burst,
-            symbol_period=self.params.symbol_period,
-            burst_period=self.params.burst_period,
-            n_bursts=self.n_bursts,
-        )
-
-    def schedule(self) -> BurstSchedule:
-        return plan_bursts(self.plan, self.clock)
 
     def replace(self, **kwargs: Any) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
@@ -141,27 +141,11 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-        for section, cls in _SECTIONS.items():
-            obj = getattr(self, _SECTION_ATTR[section])
-            fields: dict[str, Any] = {}
-            for f in dataclasses.fields(cls):
-                v = getattr(obj, f.name)
-                if v is None:
-                    continue
-                fields[f.name] = v
-            out[section] = fields
+        for section, (attr, cls) in _SECTIONS.items():
+            obj = getattr(self, attr)
+            out[section] = _non_none(obj, (f.name for f in dataclasses.fields(cls)))
         out["receiver"] = {"p_z_receiver": self.p_z_receiver}
-        run: dict[str, Any] = {
-            "duration": self.duration,
-            "seed": self.seed,
-            "shift": self.shift,
-            "gap_bits": self.gap_bits,
-            "fringe_block_x_symbols": self.fringe_block_x_symbols,
-            "servo_bursts_per_event": self.servo_bursts_per_event,
-        }
-        if self.out_dir is not None:
-            run["out_dir"] = self.out_dir
-        out["run"] = run
+        out["run"] = _non_none(self, _RUN_KEYS)
         return out
 
     @classmethod
@@ -175,24 +159,13 @@ class ScenarioConfig:
                 f"unsupported schema_version {version}, expected {SCHEMA_VERSION}"
             )
         kwargs: dict[str, Any] = {}
-        for section, section_cls in _SECTIONS.items():
+        for section, (attr, section_cls) in _SECTIONS.items():
             body = data.pop(section, {})
-            kwargs[_SECTION_ATTR[section]] = _build_section(
-                section, section_cls, body
-            )
+            kwargs[attr] = _build_section(section, section_cls, body)
         receiver = data.pop("receiver", {})
         _check_keys("receiver", receiver, {"p_z_receiver"})
         run = data.pop("run", {})
-        run_keys = {
-            "duration",
-            "seed",
-            "shift",
-            "gap_bits",
-            "fringe_block_x_symbols",
-            "servo_bursts_per_event",
-            "out_dir",
-        }
-        _check_keys("run", run, run_keys)
+        _check_keys("run", run, set(_RUN_KEYS))
         if data:
             raise ConfigError(f"unknown config sections: {sorted(data)}")
         try:
@@ -203,15 +176,10 @@ class ScenarioConfig:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-_SECTION_ATTR = {
-    "protocol": "params",
-    "clock": "clock",
-    "source": "source",
-    "channel": "channel",
-    "detector": "detector",
-    "interferometer": "interferometer",
-    "security": "security",
-}
+def _non_none(obj: Any, names: Iterable[str]) -> dict[str, Any]:
+    """The named attributes of obj that are not None, in order."""
+    values = ((name, getattr(obj, name)) for name in names)
+    return {name: v for name, v in values if v is not None}
 
 
 def _check_keys(section: str, body: dict[str, Any], allowed: set[str]) -> None:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DelayMismatchError, DomainError
-from .ppg import BurstSchedule, Framing
+from .ppg import Framing
 from .protocol import Basis, Bin
 from .source import OpticalPulse
 
@@ -251,35 +250,24 @@ def interfere(
 def detect(
     pulses: Sequence[OpticalPulse],
     det: DetectorModel,
-    schedule: BurstSchedule,
+    gates: Iterable[tuple[int, int, int]],
     rng: np.random.Generator,
     bin_offsets: dict[Bin, float],
     basis: Basis,
-    gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Event-by-event detection over one detector's pulse stream.
 
-    Every scheduled slot opens a gate on this detector, so dark counts
-    also fire in slots whose light was routed to the other path. Photon
-    clicks happen per pulse with probability 1 - exp(-mean*efficiency) at
-    the jittered pulse center; the earliest non-blind candidate in time
-    wins and starts the dead time. Timestamps are TDC-quantized before
-    bin classification.
-
-    gated_slots restricts gating to those (burst, slot) pairs; by default
-    the whole schedule is gated, which can be large - the batch engine
-    handles that regime.
+    gates holds the (burst, slot, gate_start_ps) of each gate the
+    detector opens, in time order. Every gate can fire a dark count, also
+    in slots whose light was routed to the other path; a pulse in a slot
+    with no gate raises DomainError. Photon clicks happen per pulse with
+    probability 1 - exp(-mean*efficiency) at the jittered pulse center;
+    the earliest non-blind candidate in time wins and starts the dead
+    time. Timestamps are TDC-quantized before bin classification.
     """
     by_slot: dict[tuple[int, int], list[OpticalPulse]] = {}
     for p in pulses:
         by_slot.setdefault((p.burst_index, p.slot_index), []).append(p)
-
-    if gated_slots is None:
-        slots: Iterable[tuple[int, int]] = (
-            (b, s) for b, s, _ in schedule.iter_slots()
-        )
-    else:
-        slots = sorted(set(gated_slots) | set(by_slot))
 
     eta = det.efficiency
     sigma = det.jitter_sigma_ps
@@ -287,16 +275,12 @@ def detect(
     tdc = det.tdc_resolution_ps
     half_window = det.bin_window_ps / 2.0
     lam_dark = det.dark_prob_per_gate
-    # the gate start of slot (b, s), as schedule.slot_start_ps gives it
-    burst_ps = schedule.plan.burst_period_ps
-    symbol_ps = schedule.plan.symbol_period_ps
 
     events: list[DetectionEvent] = []
     dead_until = -math.inf
-    for b, s in slots:
-        gate_start = b * burst_ps + s * symbol_ps
+    for b, s, gate_start in gates:
         candidates: list[tuple[float, bool]] = []
-        for pulse in by_slot.get((b, s), ()):
+        for pulse in by_slot.pop((b, s), ()):
             p_click = 1.0 - math.exp(-pulse.mean_photons * eta)
             if p_click > 0.0 and rng.random() < p_click:
                 t = pulse.center_ps
@@ -332,21 +316,23 @@ def detect(
             )
             dead_until = t + det.dead_time_ps
             break
+    if by_slot:
+        raise DomainError(
+            f"pulses in {len(by_slot)} slot(s) with no gate, first at "
+            f"burst/slot {min(by_slot)}"
+        )
     return events
 
 
 def detect_z(
     pulses: Sequence[OpticalPulse],
     det: DetectorModel,
-    schedule: BurstSchedule,
+    gates: Iterable[tuple[int, int, int]],
     rng: np.random.Generator,
     framing: Framing,
-    gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Direct-path detection: early/late bins measured as sent."""
-    return detect(
-        pulses, det, schedule, rng, framing.z_offsets, Basis.Z, gated_slots
-    )
+    return detect(pulses, det, gates, rng, framing.z_offsets, Basis.Z)
 
 
 def detect_x(
@@ -354,10 +340,9 @@ def detect_x(
     ifm: InterferometerModel,
     theta: float,
     det: DetectorModel,
-    schedule: BurstSchedule,
+    gates: Iterable[tuple[int, int, int]],
     rng: np.random.Generator,
     framing: Framing,
-    gated_slots: Iterable[tuple[int, int]] | None = None,
 ) -> list[DetectionEvent]:
     """Interferometer-path detection: each symbol's pulses interfere into
     three bins at arm phase theta, then hit the gated detector. The arm
@@ -366,9 +351,7 @@ def detect_x(
     out_pulses: list[OpticalPulse] = []
     for group in symbol_pulse_groups:
         out_pulses.extend(interfere(group, ifm, theta, det.tdc_resolution_ps))
-    return detect(
-        out_pulses, det, schedule, rng, framing.x_offsets, Basis.X, gated_slots
-    )
+    return detect(out_pulses, det, gates, rng, framing.x_offsets, Basis.X)
 
 
 def receiver_basis(rng: np.random.Generator, p_z_receiver: float) -> Basis:

@@ -101,7 +101,7 @@ def _theta_walk(
     stays flat in duration while the realization does not change."""
     n = scenario.n_bursts
     sigma = scenario.interferometer.drift_sigma
-    step = sigma * math.sqrt(scenario.plan.burst_period)
+    step = sigma * math.sqrt(scenario.params.burst_period)
     resets = servo_starts(scenario)
     carry = 0.0
     for lo in range(0, n, CHUNK_BURSTS):
@@ -452,7 +452,6 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     burst. timings holds the seconds of the phase walk, the per-slot
     event chain (symbols through detection) and the sift.
     """
-    schedule = scenario.schedule()
     params = scenario.params
     n_bursts = scenario.n_bursts
     slots = params.symbols_per_burst
@@ -479,10 +478,6 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     ifm = scenario.interferometer
     framing = scenario.framing
     words = [encode_state(state, framing) for state in State]
-    # slot (b, s) starts at b * burst_ps + s * symbol_ps, as
-    # schedule.slot_start_ps gives it
-    burst_ps = schedule.plan.burst_period_ps
-    symbol_ps = schedule.plan.symbol_period_ps
     basis_z = Basis.Z
 
     sent: list[Symbol] = []
@@ -490,33 +485,24 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     for b in np.flatnonzero(~excluded_mask).tolist():
         z_pulses = []
         x_groups = []
-        burst_start = b * burst_ps
-        for s in range(slots):
+        gates = params.burst_slots(b)
+        for _, s, start in gates:
             sym = sample_symbol(sym_rng, params, b, s)
-            frag = serialize_word(
-                words[sym.state], framing, burst_start + s * symbol_ps, b, s
-            )
+            frag = serialize_word(words[sym.state], framing, start, b, s)
             pulses = transmit(modulate(sym, frag, params, source, framing), channel)
             sent.append(sym)
             if receiver_basis(sym_rng, p_z_receiver) == basis_z:
                 z_pulses.extend(pulses)
             else:
                 x_groups.append(pulses)
-        gated = [(b, s) for s in range(slots)]
         theta_b = (math.pi * parity_all[b] + walk[b]) % (2.0 * math.pi)
-        events.extend(detect_z(z_pulses, det, schedule, det_rng_z, framing, gated))
+        events.extend(detect_z(z_pulses, det, gates, det_rng_z, framing))
         events.extend(
-            detect_x(x_groups, ifm, theta_b, det, schedule, det_rng_x, framing, gated)
+            detect_x(x_groups, ifm, theta_b, det, gates, det_rng_x, framing)
         )
 
     t2 = clock()
-    stats = sift(
-        events,
-        sent,
-        schedule,
-        fringe_block_bursts=block,
-        excluded_bursts={int(i) for i in idx_all[excluded_mask]},
-    )
+    stats = sift(events, sent, params.symbol_period, fringe_block_bursts=block)
     timings = {
         "drift_walk_s": t1 - t0,
         "event_chain_s": t2 - t1,

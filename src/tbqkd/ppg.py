@@ -20,7 +20,7 @@ from .errors import (
     InvalidWordError,
     ScheduleViolationError,
 )
-from .protocol import Bin, State
+from .protocol import Bin, ProtocolParams, State
 
 WORD_BITS = 8
 
@@ -43,15 +43,11 @@ class ClockConfig:
                 f"f_out must lie in [400 MHz, 800 MHz], got {self.f_out}"
             )
 
-    @property
-    def bit_rate(self) -> float:
-        return 2.0 * self.f_out
-
     @functools.cached_property
     def bit_duration_ps(self) -> int:
-        """Bit duration rounded to the picosecond grid (625 ps at 800 MHz,
-        731 ps at 684 MHz)."""
-        return max(1, round(1e12 / self.bit_rate))
+        """Bit duration at the serial bit rate 2*f_out, rounded to the
+        picosecond grid (625 ps at 800 MHz, 731 ps at 684 MHz)."""
+        return max(1, round(1e12 / (2.0 * self.f_out)))
 
 
 @dataclass(frozen=True)
@@ -218,90 +214,20 @@ def serialize_word(
     ]
 
 
-@dataclass(frozen=True)
-class BurstPlan:
-    """Burst structuring of the output: symbols_per_burst slots at
-    symbol_period, bursts repeating every burst_period."""
-
-    symbols_per_burst: int = 20
-    symbol_period: float = 200e-9
-    burst_period: float = 24e-6
-    n_bursts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.symbols_per_burst < 1:
-            raise ScheduleViolationError(
-                f"symbols_per_burst must be >= 1, got {self.symbols_per_burst}"
-            )
-        if self.n_bursts < 0:
-            raise ScheduleViolationError(f"n_bursts must be >= 0, got {self.n_bursts}")
-        if self.symbol_period <= 0.0 or self.burst_period <= 0.0:
-            raise ScheduleViolationError("periods must be positive")
-        if self.burst_period < self.symbols_per_burst * self.symbol_period:
-            raise ScheduleViolationError(
-                "burst_period shorter than the burst itself: "
-                f"{self.burst_period} < "
-                f"{self.symbols_per_burst} x {self.symbol_period}"
-            )
-
-    @functools.cached_property
-    def symbol_period_ps(self) -> int:
-        return round(self.symbol_period * 1e12)
-
-    @functools.cached_property
-    def burst_period_ps(self) -> int:
-        return round(self.burst_period * 1e12)
-
-
-@dataclass(frozen=True)
-class BurstSchedule:
-    """Validated slot timing. Slot (b, s) starts at
-    b*burst_period + s*symbol_period on the picosecond grid."""
-
-    plan: BurstPlan
-    clock: ClockConfig
-    gap_ps: int
-
-    def slot_start_ps(self, burst_index: int, slot_index: int) -> int:
-        return (
-            burst_index * self.plan.burst_period_ps
-            + slot_index * self.plan.symbol_period_ps
-        )
-
-    def iter_slots(self) -> Iterator[tuple[int, int, int]]:
-        """Lazily yield (burst_index, slot_index, start_ps) in time order."""
-        for b in range(self.plan.n_bursts):
-            base = b * self.plan.burst_period_ps
-            for s in range(self.plan.symbols_per_burst):
-                yield b, s, base + s * self.plan.symbol_period_ps
-
-
-def plan_bursts(plan: BurstPlan, clock: ClockConfig) -> BurstSchedule:
-    """Validate a burst plan against the serializer clock: every slot
-    must hold a whole 8-bit word."""
-    word_ps = WORD_BITS * clock.bit_duration_ps
-    if plan.symbol_period_ps < word_ps:
-        raise ScheduleViolationError(
-            f"symbol_period {plan.symbol_period_ps} ps is shorter than the "
-            f"{WORD_BITS}-bit word duration {word_ps} ps at "
-            f"f_out={clock.f_out:g} Hz"
-        )
-    gap_ps = plan.burst_period_ps - plan.symbols_per_burst * plan.symbol_period_ps
-    return BurstSchedule(plan=plan, clock=clock, gap_ps=gap_ps)
-
-
 def pattern_timeline(
-    states: list[State], plan: BurstPlan, framing: Framing
+    states: list[State], params: ProtocolParams, framing: Framing, n_bursts: int
 ) -> Iterator[Pulse]:
-    """Pulses for a schedule whose slots cycle through the given states.
+    """Pulses of n_bursts bursts whose slots (ProtocolParams.burst_slots)
+    cycle through the given states. params and framing are those of a
+    ScenarioConfig, which checks that every word fits its slot.
 
-    Lazy: the consumer decides how much of the (possibly huge) plan to
-    realize.
+    Lazy: the consumer decides how much of the (possibly huge) timeline
+    to realize.
     """
     if not states:
         raise ScheduleViolationError("pattern needs at least one state")
     cycle = itertools.cycle(states)
-    schedule = plan_bursts(plan, framing.clock)
-    for b, s, start in schedule.iter_slots():
-        word = encode_state(next(cycle), framing)
-        yield from serialize_word(word, framing, start, b, s)
+    for b in range(n_bursts):
+        for _, s, start in params.burst_slots(b):
+            word = encode_state(next(cycle), framing)
+            yield from serialize_word(word, framing, start, b, s)

@@ -10,6 +10,7 @@ uniformly per symbol so that pulses are phase-randomized between symbols.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,28 @@ class ProtocolParams:
                 "burst_period shorter than the burst itself: "
                 f"{self.burst_period} < {self.symbols_per_burst} x {self.symbol_period}"
             )
+
+    @functools.cached_property
+    def symbol_period_ps(self) -> int:
+        return round(self.symbol_period * 1e12)
+
+    @functools.cached_property
+    def burst_period_ps(self) -> int:
+        return round(self.burst_period * 1e12)
+
+    @property
+    def gap_ps(self) -> int:
+        """Idle time between the last slot of a burst and the next burst."""
+        return self.burst_period_ps - self.symbols_per_burst * self.symbol_period_ps
+
+    def burst_slots(self, burst: int) -> list[tuple[int, int, int]]:
+        """(burst, slot, start_ps) of each slot of a burst, in time order.
+        Slot s starts at burst*burst_period + s*symbol_period on the
+        integer-picosecond grid, exact however far the burst; its
+        detector gates open there too."""
+        base = burst * self.burst_period_ps
+        step = self.symbol_period_ps
+        return [(burst, s, base + s * step) for s in range(self.symbols_per_burst)]
 
     @property
     def p_mu2(self) -> float:

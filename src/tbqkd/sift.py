@@ -4,9 +4,10 @@ Counting rules: a Z-basis click on a Z-sent symbol is sifted into n_z
 (an error when the bin disagrees with the sent bit); an X-basis
 central-bin click on an XPlus-sent symbol is sifted into n_x, and counts
 as an error when it falls in a fringe-minimum measurement block.
-Cross-basis clicks, out-of-window clicks, X-path side bins, and clicks
-inside stabilization windows are discarded, each into its own counter,
-so every event is accounted for exactly once.
+Cross-basis clicks, out-of-window clicks and X-path side bins are
+discarded, each into its own counter, so every event is accounted for
+exactly once. Stabilization windows are never simulated, so no engine
+has a click to discard for them.
 
 sift_rule states these rules once, elementwise over arrays of clicks;
 the reference engine's sift, the batch engine's tally and the oracle's
@@ -16,7 +17,7 @@ expected tallies all count through it.
 from __future__ import annotations
 
 import csv
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyTallyError, UnmatchedEventError
 from .link import DetectionEvent
-from .ppg import BurstSchedule
 from .protocol import Basis, Bin, IntensityClass, State, Symbol
 
 # the n_* key of detector basis b and intensity k sits at index 4*b + k,
@@ -46,6 +46,11 @@ _ZERO_SENT = ((0, 0), (0, 0), (0, 0))
 # what sift_rule makes of a click: SIFTED into a tally key, or a reason
 # to discard it
 SIFTED, CROSS_BASIS, OUTSIDE, SIDEBAND = range(4)
+
+
+def burst_parity(burst_idx: np.ndarray, block_bursts: int) -> np.ndarray:
+    """0 = fringe maximum block (lock 0), 1 = fringe minimum (lock pi)."""
+    return (np.asarray(burst_idx, dtype=np.int64) // block_bursts) % 2
 
 
 def sift_rule(state, intensity, detector, bin_, parity):
@@ -203,7 +208,9 @@ def read_tally_csv(path: str | Path) -> list[TallyCounts]:
 
 @dataclass(frozen=True)
 class SiftResult:
-    """Tallies plus the discard ledger; sifting loses no events."""
+    """Tallies plus the discard ledger; sifting loses no events. No
+    engine simulates a stabilization window, so discarded_stabilization
+    is 0 in each; the field keeps the ledger's report format."""
 
     tallies: TallyCounts
     discarded_cross_basis: int = 0
@@ -218,10 +225,9 @@ class SiftResult:
         discards: Sequence[int],
         sent_counts: Sequence[Sequence[int]],
         elapsed_s: float,
-        stabilization: int = 0,
     ) -> "SiftResult":
-        """Result of count_clicks' counts and discards, the sent ledger,
-        and the clicks dropped in stabilization windows."""
+        """Result of count_clicks' counts and discards, and the sent
+        ledger."""
         tallies = TallyCounts(
             sent_counts=tuple(tuple(int(v) for v in row) for row in sent_counts),
             elapsed_s=elapsed_s,
@@ -232,24 +238,21 @@ class SiftResult:
             discarded_cross_basis=int(discards[CROSS_BASIS]),
             discarded_outside=int(discards[OUTSIDE]),
             discarded_sideband=int(discards[SIDEBAND]),
-            discarded_stabilization=stabilization,
         )
 
 
 def sift(
     events: Sequence[DetectionEvent],
     sent: Sequence[Symbol],
-    schedule: BurstSchedule | None = None,
+    symbol_period: float = 0.0,
     fringe_block_bursts: int | None = None,
-    excluded_bursts: Collection[int] = (),
 ) -> SiftResult:
     """Match events to sent symbols and tally them.
 
     fringe_block_bursts sets the alternating fringe-parity block length
     (odd blocks are the fringe-minimum probe); without it all X counts
-    land in the maximum block and m_x stays 0. excluded_bursts marks
-    stabilization windows. elapsed_s is derived from the schedule's
-    symbol period when a schedule is given.
+    land in the maximum block and m_x stays 0. elapsed_s is the sent
+    symbols times symbol_period, in seconds.
     """
     by_slot: dict[tuple[int, int], Symbol] = {}
     sent_counts = [[0, 0], [0, 0], [0, 0]]
@@ -260,11 +263,8 @@ def sift(
         by_slot[key] = sym
         sent_counts[sym.state][sym.intensity] += 1
 
-    excluded = set(excluded_bursts)
     clicks = []
     for ev in events:
-        if ev.burst_index in excluded:
-            continue
         key = (ev.burst_index, ev.slot_index)
         sym = by_slot.get(key)
         if sym is None:
@@ -276,11 +276,10 @@ def sift(
     if fringe_block_bursts is None:
         parity = np.zeros_like(burst)
     else:
-        parity = burst // fringe_block_bursts % 2
+        parity = burst_parity(burst, fringe_block_bursts)
     counts, discards = count_clicks(state, intensity, detector, bins, parity)
-    elapsed = len(sent) * schedule.plan.symbol_period if schedule is not None else 0.0
     return SiftResult.from_counts(
-        counts, discards, sent_counts, elapsed, len(events) - len(clicks)
+        counts, discards, sent_counts, len(sent) * symbol_period
     )
 
 

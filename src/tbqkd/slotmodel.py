@@ -29,7 +29,7 @@ from .config import ScenarioConfig
 from .errors import DomainError
 from .link import DetectorModel
 from .protocol import Basis, Bin, IntensityClass, State
-from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS
+from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS, burst_parity
 
 N_CLASSES = 12
 # outcome columns: the Bin value of a click, then no click
@@ -323,14 +323,9 @@ def fringe_block_bursts(scenario: ScenarioConfig) -> int:
     return max(1, round(scenario.fringe_block_x_symbols / per_burst))
 
 
-def burst_parity(burst_idx: np.ndarray, block_bursts: int) -> np.ndarray:
-    """0 = fringe maximum block (lock 0), 1 = fringe minimum (lock pi)."""
-    return (np.asarray(burst_idx, dtype=np.int64) // block_bursts) % 2
-
-
 def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
     """First burst index of each stabilization window."""
-    period = scenario.plan.burst_period
+    period = scenario.params.burst_period
     n_bursts = scenario.n_bursts
     interval = scenario.interferometer.stabilization_interval
     n_events = max(1, math.ceil(scenario.duration / interval))
@@ -353,7 +348,7 @@ def servo_excluded(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarra
 
 def _lock_index(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
     """Number of stabilization intervals completed before each burst."""
-    t = np.asarray(burst_idx, dtype=np.float64) * scenario.plan.burst_period
+    t = np.asarray(burst_idx, dtype=np.float64) * scenario.params.burst_period
     return np.floor(t / scenario.interferometer.stabilization_interval)
 
 
@@ -367,7 +362,7 @@ def lock_elapsed_s(scenario: ScenarioConfig, burst_pos: np.ndarray) -> np.ndarra
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
     interval = scenario.interferometer.stabilization_interval
-    tau = pos * scenario.plan.burst_period - _lock_index(
+    tau = pos * scenario.params.burst_period - _lock_index(
         scenario, np.rint(pos)
     ) * interval
     return np.maximum(tau, 0.0)
@@ -501,7 +496,7 @@ def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     exp(-sigma^2 tau / 2) falls by at most e^-1/16, within one run.
     """
     n = scenario.n_bursts
-    period = scenario.plan.burst_period
+    period = scenario.params.burst_period
     interval = scenario.interferometer.stabilization_interval
     width = scenario.servo_bursts_per_event
     block = fringe_block_bursts(scenario)
@@ -566,7 +561,7 @@ def _quadrature_nodes(
     (dtau = 2u du), so that f may also carry sqrt(tau) terms; the two
     share their bursts summed one by one, their end nodes and their
     parities."""
-    period = scenario.plan.burst_period
+    period = scenario.params.burst_period
     n = hi - lo
     whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
     near_lock = lock_elapsed_s(scenario, lo) < HEAD_BURSTS * period

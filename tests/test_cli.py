@@ -9,6 +9,7 @@ the output files still written so the caller can inspect what happened.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -110,6 +111,18 @@ class TestPattern:
         for row in rows:
             slot = int(row["slot"])
             assert row["bin"] == ("early" if slot % 2 == 0 else "late")
+
+    def test_preset_pattern_bytes_are_pinned(self, runner, tmp_path):
+        # 3 bursts of 20 slots at 684 MHz, a cycle that straddles bursts
+        args = ["pattern", "--preset", "link-7db", "--bursts", "3"]
+        args += ["--states", "Z0,Z1,XPlus,XPlus", "--out", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "90 pulses" in result.output
+        digest = hashlib.sha256((tmp_path / "pattern.csv").read_bytes()).hexdigest()
+        assert digest == (
+            "77f8313aea188a4c8f099837e887b7505a87e995e7182b04c54b81d07209bcb0"
+        )
 
     def test_unknown_state_exits_2(self, runner, tmp_path):
         result = runner.invoke(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -24,7 +25,24 @@ from tbqkd.errors import ConfigError
 from conftest import small_scenario
 
 
+# sha256 of save_scenario's output for each preset, without and with an
+# out_dir: the YAML a scenario saves to is part of the interface
+SAVED_SHA256 = {
+    ("link-7db", None): "205baf2e336501af951b3cf7d046cb05d4867832894385923721985375977a73",
+    ("link-7db", "runs/a"): "f33ce82313aff4aee9d8bf42009664478045bac60e85de06efd6f2549afdafee",
+    ("link-14db", None): "9548fd3e4a53f4ffca71369c7f4c0ba703db193bd21e4bccaea26d4e45d2c1cb",
+    ("link-14db", "runs/a"): "985e8a092a9d64b4449a9de6db9d4694c3837d2a3f7e3a1f66b73aac38f96ee9",
+}
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("name,out_dir", list(SAVED_SHA256))
+    def test_saved_text_is_pinned(self, tmp_path, name, out_dir):
+        path = tmp_path / "cfg.yaml"
+        save_scenario(load_preset(name).replace(out_dir=out_dir), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == SAVED_SHA256[name, out_dir]
+
     def test_yaml_identity_for_defaults(self, tmp_path):
         cfg = ScenarioConfig()
         path = tmp_path / "cfg.yaml"
@@ -220,25 +238,18 @@ class TestDerivedQuantities:
         assert cfg.n_bursts == 12_500_000
 
     def test_plan_consistency(self):
-        cfg = small_scenario(duration=1.0)
-        plan = cfg.plan
-        assert plan.n_bursts == cfg.n_bursts
-        assert plan.symbols_per_burst == 20
-        assert cfg.schedule().gap_ps == 20_000_000
-
-    def test_plan_is_built_once_per_scenario(self):
         cfg = small_scenario(duration=1.2)
-        assert cfg.plan is cfg.plan
+        assert cfg.params.symbols_per_burst == 20
+        assert cfg.params.gap_ps == 20_000_000
         longer = cfg.replace(duration=2.4)
-        assert longer.plan.n_bursts == longer.n_bursts == 2 * cfg.n_bursts
+        assert longer.n_bursts == 2 * cfg.n_bursts
         params = dataclasses.replace(
             cfg.params, symbols_per_burst=10, burst_period=48e-6
         )
         slower = cfg.replace(params=params)
-        assert slower.plan.symbols_per_burst == 10
-        assert slower.plan.burst_period == 48e-6
-        assert 2 * slower.plan.n_bursts == 2 * slower.n_bursts == cfg.n_bursts
-        assert cfg.plan.n_bursts == cfg.n_bursts
+        assert slower.params.burst_period_ps == 48_000_000
+        assert slower.params.gap_ps == 46_000_000
+        assert 2 * slower.n_bursts == cfg.n_bursts
 
     def test_with_loss_swaps_only_the_channel(self):
         cfg = small_scenario()
@@ -274,7 +285,7 @@ class TestPresets:
         assert cfg.security.f_ec == 1.02
         assert cfg.servo_bursts_per_event == 2048
         # the dead time fills the burst gap exactly, the longest that loads
-        assert cfg.detector.dead_time_ps == cfg.schedule().gap_ps == 20_000_000
+        assert cfg.detector.dead_time_ps == cfg.params.gap_ps == 20_000_000
 
     def test_presets_differ_only_in_channel_seed(self):
         a = load_preset("link-7db")

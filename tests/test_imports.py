@@ -1,0 +1,42 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+__init__.py is exempt: its imports are the package's public names.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tbqkd"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that the source's import statements bind and no name in
+    its code reads, sorted. The modules postpone annotations, so an
+    annotation names what it uses without quotes and counts as code."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_the_check_finds_unused_names():
+    source = (
+        "import os.path\nimport numpy as np\nfrom a import b, c as d, e\n"
+        "def f(x: e) -> None:\n    return np.sum(d)\n"
+    )
+    assert unused_imports(source) == ["b", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []

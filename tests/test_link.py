@@ -10,7 +10,6 @@ import pytest
 from tbqkd import (
     Basis,
     Bin,
-    BurstPlan,
     ChannelModel,
     ClockConfig,
     DetectorModel,
@@ -19,7 +18,6 @@ from tbqkd import (
     OpticalPulse,
     detect_z,
     interfere,
-    plan_bursts,
     receiver_basis,
     stabilize,
     transmit,
@@ -42,16 +40,10 @@ def pulse(start_ps, mean, bin_label=Bin.EARLY, b=0, s=0, width=625):
     )
 
 
-def single_pulse_schedule(n_slots, symbol_period=200e-9):
-    spb = 1000
-    n_bursts = (n_slots + spb - 1) // spb
-    plan = BurstPlan(
-        symbols_per_burst=spb,
-        symbol_period=symbol_period,
-        burst_period=spb * symbol_period,
-        n_bursts=n_bursts,
-    )
-    return plan_bursts(plan, CLOCK)
+def slot_gates(n_slots, symbol_ps=200_000, per_burst=1000):
+    """(burst, slot, gate_start_ps) of n_slots back-to-back slots,
+    per_burst of them to a burst."""
+    return [(i // per_burst, i % per_burst, i * symbol_ps) for i in range(n_slots)]
 
 
 class TestTransmit:
@@ -145,49 +137,40 @@ class TestDetect:
         # 1e6 gated trials per intensity, 3 binomial sigma
         n = 1_000_000
         det = DetectorModel(dead_time=0.0, dark_prob_per_ns=0.0, jitter_sigma=0.0)
-        sched = single_pulse_schedule(n)
-        spb = sched.plan.symbols_per_burst
-        sym_ps = sched.plan.symbol_period_ps
-        burst_ps = sched.plan.burst_period_ps
-        pulses = [
-            pulse(b * burst_ps + s * sym_ps, mu, b=b, s=s)
-            for b in range(sched.plan.n_bursts)
-            for s in range(spb)
-        ][:n]
-        events = detect_z(pulses, det, sched, np.random.default_rng(seed), FRAMING)
+        gates = slot_gates(n)
+        pulses = [pulse(t, mu, b=b, s=s) for b, s, t in gates]
+        events = detect_z(pulses, det, gates, np.random.default_rng(seed), FRAMING)
         p = 1 - math.exp(-mu * det.efficiency)
         sigma = math.sqrt(p * (1 - p) / n)
         assert len(events) / n == pytest.approx(p, abs=3 * sigma)
 
     def test_dead_time_suppression(self):
         det = DetectorModel(dead_time=20e-6, dark_prob_per_ns=0.0, jitter_sigma=0.0)
-        sched = single_pulse_schedule(2, symbol_period=1e-6)
-        sym_ps = sched.plan.symbol_period_ps
+        gates = slot_gates(2, symbol_ps=1_000_000)
         certain = 1e9  # click probability is 1 up to rounding
-        pulses = [pulse(0, certain, s=0), pulse(sym_ps, certain, s=1)]
-        events = detect_z(pulses, det, sched, np.random.default_rng(0), FRAMING)
+        pulses = [pulse(t, certain, s=s) for _, s, t in gates]
+        events = detect_z(pulses, det, gates, np.random.default_rng(0), FRAMING)
         assert len(events) == 1
 
     def test_blind_detector_sees_nothing(self):
         det = DetectorModel(efficiency=0.0, dark_prob_per_ns=0.0)
-        sched = single_pulse_schedule(100)
-        pulses = [pulse(i * 200_000, 0.5, s=i) for i in range(100)]
-        assert detect_z(pulses, det, sched, np.random.default_rng(1), FRAMING) == []
+        gates = slot_gates(100)
+        pulses = [pulse(t, 0.5, s=s) for _, s, t in gates]
+        assert detect_z(pulses, det, gates, np.random.default_rng(1), FRAMING) == []
+
+    def test_pulse_without_a_gate_is_refused(self):
+        det = DetectorModel()
+        # slot 1 has light but no gate
+        pulses = [pulse(0, 0.5, s=0), pulse(200_000, 0.5, s=1)]
+        with pytest.raises(DomainError, match="no gate"):
+            detect_z(pulses, det, slot_gates(1), np.random.default_rng(3), FRAMING)
 
     def test_dark_rate_and_flagging(self):
         n = 50_000
         det = DetectorModel(
             efficiency=0.0, dead_time=0.0, dark_prob_per_ns=1e-3, jitter_sigma=0.0
         )
-        sched = single_pulse_schedule(n)
-        events = detect_z(
-            [],
-            det,
-            sched,
-            np.random.default_rng(8),
-            FRAMING,
-            gated_slots=[(b, s) for b in range(50) for s in range(1000)],
-        )
+        events = detect_z([], det, slot_gates(n), np.random.default_rng(8), FRAMING)
         assert all(ev.is_dark for ev in events)
         p = 1 - math.exp(-1e-3 * 20.0)
         sigma = math.sqrt(p * (1 - p) / n)
@@ -195,29 +178,16 @@ class TestDetect:
 
     def test_timestamps_on_tdc_grid(self):
         det = DetectorModel(dark_prob_per_ns=1e-4)
-        sched = single_pulse_schedule(5000)
-        sym_ps = sched.plan.symbol_period_ps
-        burst_ps = sched.plan.burst_period_ps
-        pulses = [
-            pulse(b * burst_ps + s * sym_ps, 0.5, b=b, s=s)
-            for b in range(5)
-            for s in range(1000)
-        ]
-        events = detect_z(pulses, det, sched, np.random.default_rng(2), FRAMING)
+        gates = slot_gates(5000)
+        pulses = [pulse(t, 0.5, b=b, s=s) for b, s, t in gates]
+        events = detect_z(pulses, det, gates, np.random.default_rng(2), FRAMING)
         assert events
         assert all(ev.timestamp_ps % 42 == 0 for ev in events)
 
     def test_dead_time_invariant_under_noise(self):
         det = DetectorModel(dead_time=2e-6, dark_prob_per_ns=5e-4)
-        sched = single_pulse_schedule(20_000)
-        events = detect_z(
-            [],
-            det,
-            sched,
-            np.random.default_rng(9),
-            FRAMING,
-            gated_slots=[(b, s) for b in range(20) for s in range(1000)],
-        )
+        gates = slot_gates(20_000)
+        events = detect_z([], det, gates, np.random.default_rng(9), FRAMING)
         assert len(events) > 50
         times = [ev.timestamp_ps for ev in events]
         assert all(b - a >= det.dead_time_ps for a, b in zip(times, times[1:]))

@@ -184,7 +184,7 @@ def whole_run_walk(scenario, rng):
     draw per stabilization segment, reset to 0 at each segment start."""
     n = scenario.n_bursts
     step = scenario.interferometer.drift_sigma * math.sqrt(
-        scenario.plan.burst_period
+        scenario.params.burst_period
     )
     walk = np.empty(n)
     starts = [int(s) for s in servo_starts(scenario)]
@@ -438,7 +438,7 @@ def detector_scenario(**changes):
 def servo_straddle_scenario():
     """A 600-burst stabilization window that starts 300 bursts before
     the end of the first chunk and runs on into the second."""
-    period = small_scenario().plan.burst_period
+    period = small_scenario().params.burst_period
     ifm = dataclasses.replace(
         small_scenario().interferometer,
         stabilization_interval=(CHUNK_BURSTS - 300) * period,

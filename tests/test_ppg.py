@@ -8,17 +8,20 @@ import pytest
 
 from tbqkd import (
     Bin,
-    BurstPlan,
     ClockConfig,
+    DetectorModel,
     Framing,
+    ProtocolParams,
+    ScenarioConfig,
     State,
     decode_word,
     encode_state,
     pattern_timeline,
-    plan_bursts,
     serialize_word,
 )
 from tbqkd.errors import (
+    ConfigError,
+    DomainError,
     EncodingOverflowError,
     InvalidWordError,
     ScheduleViolationError,
@@ -27,6 +30,8 @@ from tbqkd.errors import (
 CLOCK_800 = ClockConfig(f_ref=100e6, f_out=800e6)
 CLOCK_684 = ClockConfig(f_ref=57e6, f_out=684e6)
 FRAMING_800 = Framing(CLOCK_800)
+# a dead time that loads with 4 slots in 1 us bursts
+FAST_DETECTOR = DetectorModel(dead_time=0.5e-6)
 
 
 def fits(shift: int, gap_bits: int) -> bool:
@@ -163,58 +168,59 @@ class TestSerialization:
 
 class TestScheduling:
     def test_burst_preset_is_dead_time_safe(self):
-        plan = BurstPlan(
-            symbols_per_burst=20, symbol_period=200e-9, burst_period=24e-6, n_bursts=10
+        params = ProtocolParams(
+            symbols_per_burst=20, symbol_period=200e-9, burst_period=24e-6
         )
-        sched = plan_bursts(plan, CLOCK_800)
         # 20 us of gap: room for the presets' 20 us dead time
-        assert sched.gap_ps == 20_000_000
+        assert params.gap_ps == 20_000_000
 
     def test_max_symbol_rate_ok(self):
-        plan = BurstPlan(symbols_per_burst=4, symbol_period=5e-9, burst_period=1e-6)
-        sched = plan_bursts(plan, CLOCK_800)
-        assert sched.plan.symbol_period_ps == 5000
+        # 200 MHz: the 8-bit word at 800 MHz fills the 5 ns slot exactly
+        params = ProtocolParams(
+            symbols_per_burst=4, symbol_period=5e-9, burst_period=1e-6
+        )
+        cfg = ScenarioConfig(params=params, clock=CLOCK_800, detector=FAST_DETECTOR)
+        assert cfg.params.symbol_period_ps == 8 * CLOCK_800.bit_duration_ps == 5000
 
     def test_symbol_period_below_word_duration(self):
-        plan = BurstPlan(symbols_per_burst=4, symbol_period=4e-9, burst_period=1e-6)
-        with pytest.raises(ScheduleViolationError):
-            plan_bursts(plan, CLOCK_800)
+        params = ProtocolParams(
+            symbols_per_burst=4, symbol_period=4e-9, burst_period=1e-6
+        )
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(params=params, clock=CLOCK_800, detector=FAST_DETECTOR)
+        assert str(exc.value) == (
+            "symbol_period 4000 ps is shorter than the 8-bit word duration "
+            "5000 ps at f_out=8e+08 Hz"
+        )
 
     def test_burst_longer_than_period_rejected(self):
-        with pytest.raises(ScheduleViolationError):
-            BurstPlan(symbols_per_burst=20, symbol_period=200e-9, burst_period=3e-6)
+        with pytest.raises(DomainError, match="burst_period"):
+            ProtocolParams(
+                symbols_per_burst=20, symbol_period=200e-9, burst_period=3e-6
+            )
 
     def test_slot_starts_exact_on_bit_grid(self):
-        plan = BurstPlan(
-            symbols_per_burst=20,
-            symbol_period=200e-9,
-            burst_period=24e-6,
-            n_bursts=2,
+        params = ProtocolParams(
+            symbols_per_burst=20, symbol_period=200e-9, burst_period=24e-6
         )
-        sched = plan_bursts(plan, CLOCK_800)
-        starts = [t for _, _, t in sched.iter_slots()]
-        assert starts == sorted(starts)
+        # the canonical Z0 word is one pulse at its slot start
+        pulses = pattern_timeline([State.Z0], params, FRAMING_800, 2)
+        starts = [p.start_ps for p in pulses]
+        assert starts == [t for b in range(2) for _, _, t in params.burst_slots(b)]
+        assert starts[20] == params.burst_period_ps == 24_000_000
         assert all(t % CLOCK_800.bit_duration_ps == 0 for t in starts)
         # far-slot arithmetic stays exact: integers, no accumulation error
-        far = sched.slot_start_ps(10**8, 19)
-        assert far == 10**8 * plan.burst_period_ps + 19 * plan.symbol_period_ps
-
-    def test_iter_slots_matches_slot_start(self):
-        plan = BurstPlan(
-            symbols_per_burst=3, symbol_period=200e-9, burst_period=1e-6, n_bursts=3
-        )
-        sched = plan_bursts(plan, CLOCK_800)
-        for b, s, t in sched.iter_slots():
-            assert t == sched.slot_start_ps(b, s)
+        far = params.burst_slots(10**8)[19]
+        assert far == (10**8, 19, 2_400_000_003_800_000)
 
 
 class TestPatternTimeline:
     def test_cycles_states_in_order(self):
-        plan = BurstPlan(
-            symbols_per_burst=3, symbol_period=200e-9, burst_period=1e-6, n_bursts=2
+        params = ProtocolParams(
+            symbols_per_burst=3, symbol_period=200e-9, burst_period=1e-6
         )
         pulses = list(
-            pattern_timeline([State.Z0, State.Z1, State.XPlus], plan, FRAMING_800)
+            pattern_timeline([State.Z0, State.Z1, State.XPlus], params, FRAMING_800, 2)
         )
         # 2 bursts x (1 + 1 + 2) pulses
         assert len(pulses) == 8
@@ -224,6 +230,5 @@ class TestPatternTimeline:
             assert a.start_ps + a.width_ps <= b.start_ps
 
     def test_empty_pattern_rejected(self):
-        plan = BurstPlan(n_bursts=1)
         with pytest.raises(ScheduleViolationError):
-            next(pattern_timeline([], plan, FRAMING_800))
+            next(pattern_timeline([], ProtocolParams(), FRAMING_800, 1))

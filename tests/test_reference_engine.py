@@ -22,12 +22,12 @@ import tbqkd.pipeline as pipeline
 from tbqkd import (
     Basis,
     Bin,
-    BurstPlan,
     DetectionEvent,
     DetectorModel,
     InterferometerModel,
     IntensityClass,
     OpticalPulse,
+    ProtocolParams,
     Pulse,
     RunOutcome,
     SiftResult,
@@ -38,7 +38,6 @@ from tbqkd import (
     TALLY_KEYS,
     detect_x,
     detect_z,
-    plan_bursts,
     run_simulation_reference,
 )
 from tbqkd.errors import DomainError
@@ -189,13 +188,13 @@ def test_outcome_equals_the_pinned_record(name):
 # so every slot can click; darks at 5e-3 per ns fill some empty gates
 DET = DetectorModel(efficiency=0.5, dead_time=0.0, dark_prob_per_ns=5e-3)
 FRAMING = small_scenario().framing
-SCHEDULE = plan_bursts(BurstPlan(symbols_per_burst=20, n_bursts=2), FRAMING.clock)
-GATED = [(b, s) for b in range(2) for s in range(20)]
+TIMING = ProtocolParams()  # 20 slots 200 ns apart, bursts every 24 us
+GATES = TIMING.burst_slots(0) + TIMING.burst_slots(1)
 
 
 def _pulse(b, s, label, mean):
     bit = FRAMING.early if label == Bin.EARLY else FRAMING.late
-    start = SCHEDULE.slot_start_ps(b, s) + bit * FRAMING.clock.bit_duration_ps
+    start = TIMING.burst_slots(b)[s][2] + bit * FRAMING.clock.bit_duration_ps
     return OpticalPulse(
         start_ps=start,
         width_ps=FRAMING.clock.bit_duration_ps,
@@ -211,7 +210,7 @@ def _z_pulses():
     """An early pulse in every third slot, a late one in the next, and
     an empty gate in the third."""
     out = []
-    for b, s in GATED:
+    for b, s, _ in GATES:
         if s % 3 < 2:
             out.append(_pulse(b, s, (Bin.EARLY, Bin.LATE)[s % 3], 2.0))
     return out
@@ -220,7 +219,7 @@ def _z_pulses():
 def _x_groups():
     """XPlus pairs in even slots, a lone early pulse in odd ones."""
     groups = []
-    for b, s in GATED:
+    for b, s, _ in GATES:
         group = [_pulse(b, s, Bin.EARLY, 1.0)]
         if s % 2 == 0:
             group.append(_pulse(b, s, Bin.LATE, 1.0))
@@ -273,9 +272,7 @@ def _event_list(events):
 
 
 def test_detect_z_events_equal_the_pinned_list():
-    events = detect_z(
-        _z_pulses(), DET, SCHEDULE, np.random.default_rng(5), FRAMING, GATED
-    )
+    events = detect_z(_z_pulses(), DET, GATES, np.random.default_rng(5), FRAMING)
     assert all(ev.basis == Basis.Z for ev in events)
     assert _event_list(events) == DETECT_Z_EVENTS
 
@@ -283,7 +280,7 @@ def test_detect_z_events_equal_the_pinned_list():
 def test_detect_x_events_equal_the_pinned_list():
     ifm = InterferometerModel(delay=FRAMING.separation_ps * 1e-12)
     events = detect_x(
-        _x_groups(), ifm, 0.7, DET, SCHEDULE, np.random.default_rng(6), FRAMING, GATED
+        _x_groups(), ifm, 0.7, DET, GATES, np.random.default_rng(6), FRAMING
     )
     assert all(ev.basis == Basis.X for ev in events)
     assert _event_list(events) == DETECT_X_EVENTS

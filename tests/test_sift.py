@@ -94,13 +94,13 @@ class TestSift:
         res = sift([ev(bin=Bin.OUTSIDE)], [sym(State.Z0)])
         assert res.tallies.n_z == 0 and res.discarded_outside == 1
 
-    def test_stabilization_windows_excluded(self):
-        res = sift(
-            [ev(b=3, bin=Bin.EARLY)],
-            [sym(State.Z0, b=3)],
-            excluded_bursts={3},
-        )
-        assert res.tallies.n_z == 0 and res.discarded_stabilization == 1
+    def test_elapsed_time_counts_every_sent_symbol(self):
+        # stabilization windows are never simulated: a burst's clicks
+        # all sift, and the stabilization counter stays 0
+        sent = [sym(State.Z0, b=3), sym(State.Z1, b=3, s=1)]
+        res = sift([ev(b=3, bin=Bin.EARLY)], sent, symbol_period=200e-9)
+        assert res.tallies.n_z == 1 and res.discarded_stabilization == 0
+        assert res.tallies.elapsed_s == 2 * 200e-9
 
     def test_unmatched_event_raises(self):
         with pytest.raises(UnmatchedEventError):
@@ -126,17 +126,18 @@ class TestSift:
             ev(s=0, bin=Bin.OUTSIDE),
             ev(b=7, s=0, bin=Bin.EARLY),
         ]
-        res = sift(events, sent, fringe_block_bursts=4, excluded_bursts={7})
+        res = sift(events, sent, fringe_block_bursts=4)
         t = res.tallies
-        total = (
-            t.n_z
-            + t.n_x
-            + res.discarded_cross_basis
-            + res.discarded_outside
-            + res.discarded_sideband
-            + res.discarded_stabilization
+        split = (
+            t.n_z,
+            t.n_x,
+            res.discarded_cross_basis,
+            res.discarded_outside,
+            res.discarded_sideband,
+            res.discarded_stabilization,
         )
-        assert total == len(events)
+        assert split == (2, 1, 1, 1, 1, 0)
+        assert sum(split) == len(events)
         assert t.symbols_sent == len(sent)
 
 

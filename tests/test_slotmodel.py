@@ -342,7 +342,7 @@ class TestBurstBookkeeping:
         starts = servo_starts(sc)
         assert starts[0] == 0
         assert len(starts) == 5
-        period = sc.plan.burst_period
+        period = sc.params.burst_period
         np.testing.assert_allclose(np.diff(starts), round(0.1 / period), atol=1)
 
     def test_servo_excluded_matches_reimplementation(self):
@@ -368,7 +368,7 @@ class TestBurstBookkeeping:
         # 0.096 s is exactly 4000 burst periods, so the reset lands on a
         # burst boundary
         sc = small_scenario(interferometer=ifm(stabilization_interval=0.096))
-        period = sc.plan.burst_period
+        period = sc.params.burst_period
         tau = lock_elapsed_s(sc, np.array([0, 1, 4000, 4001]))
         assert tau[0] == 0.0
         assert tau[1] == pytest.approx(period)
@@ -400,7 +400,7 @@ class TestExpectedCosTheta:
     def test_brownian_damping_since_lock(self):
         # burst 500 sits in the first fringe block (sign +1)
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
-        period = sc.plan.burst_period
+        period = sc.params.burst_period
         got = expected_cos_theta(sc, np.array([0, 500]))
         assert got[0] == pytest.approx(1.0)
         tau = 500 * period
