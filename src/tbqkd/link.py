@@ -199,12 +199,14 @@ def interfere(
     symbol_pulses: Sequence[OpticalPulse],
     ifm: InterferometerModel,
     theta: float,
-    tolerance_ps: float | None = None,
+    tolerance_ps: float,
 ) -> list[OpticalPulse]:
     """Three-bin output of the unbalanced interferometer for one symbol
     at arm phase theta.
 
-    Inputs are the symbol's pulses (early and/or late, leakage included).
+    Inputs are the symbol's pulses (early and/or late, leakage included);
+    an early and a late pulse must lie the arm delay apart, within
+    tolerance_ps.
     Outputs at t_e, t_e + delay, t_e + 2*delay carry means
     (mu_e/4, (mu_e+mu_l)/4 + (V/2) sqrt(mu_e mu_l) cos theta, mu_l/4);
     the cross term vanishes with either input empty, which covers the
@@ -221,8 +223,7 @@ def interfere(
     delay_ps = ifm.delay_ps
     if early and late:
         separation = late[0].start_ps - early[0].start_ps
-        tol = tolerance_ps if tolerance_ps is not None else delay_ps * 1e-6 + 1.0
-        if abs(separation - delay_ps) > tol:
+        if abs(separation - delay_ps) > tolerance_ps:
             raise DelayMismatchError(
                 f"pulse separation {separation} ps does not match the "
                 f"interferometer delay {delay_ps} ps"

@@ -27,10 +27,12 @@ refuses any other). So the first click per burst and detector stands in
 for the full dead-time cascade exactly in the batch engine and the
 oracle, and the reference engine detects each burst on its own.
 
-Both engines treat the servo lock as exact: each stabilization window
-resets the phase walk to the current fringe block's lock point, and the
-window's bursts are excluded from tallies and elapsed time. The servo
-algorithm itself (link.stabilize) is validated separately.
+Both engines treat the servo lock as exact: the phase walk resets to
+the current fringe block's lock point at each servo start
+(slotmodel.servo_starts), the one lock schedule from which the oracle
+also counts its drift time, and the bursts of each stabilization window
+are excluded from tallies and elapsed time. The servo algorithm itself
+(link.stabilize) is validated separately.
 
 Each RunOutcome carries the measured seconds of the run's stages in
 `timings`, which takes no part in equality.

@@ -244,14 +244,13 @@ class SiftResult:
 def sift(
     events: Sequence[DetectionEvent],
     sent: Sequence[Symbol],
-    symbol_period: float = 0.0,
-    fringe_block_bursts: int | None = None,
+    symbol_period: float,
+    fringe_block_bursts: int,
 ) -> SiftResult:
     """Match events to sent symbols and tally them.
 
     fringe_block_bursts sets the alternating fringe-parity block length
-    (odd blocks are the fringe-minimum probe); without it all X counts
-    land in the maximum block and m_x stays 0. elapsed_s is the sent
+    (odd blocks are the fringe-minimum probe). elapsed_s is the sent
     symbols times symbol_period, in seconds.
     """
     by_slot: dict[tuple[int, int], Symbol] = {}
@@ -273,10 +272,7 @@ def sift(
     state, intensity, detector, bins, burst = (
         np.array(clicks, dtype=np.int64).reshape(-1, 5).T
     )
-    if fringe_block_bursts is None:
-        parity = np.zeros_like(burst)
-    else:
-        parity = burst_parity(burst, fringe_block_bursts)
+    parity = burst_parity(burst, fringe_block_bursts)
     counts, discards = count_clicks(state, intensity, detector, bins, parity)
     return SiftResult.from_counts(
         counts, discards, sent_counts, len(sent) * symbol_period

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import DomainError
 from .link import DetectorModel
 from .protocol import Basis, Bin, IntensityClass, State
 from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS, burst_parity
@@ -318,13 +317,12 @@ def fringe_block_bursts(scenario: ScenarioConfig) -> int:
     fringe_block_x_symbols X-basis symbols."""
     params = scenario.params
     per_burst = params.symbols_per_burst * (1.0 - params.p_z)
-    if per_burst <= 0.0:
-        raise DomainError("p_z must leave a nonzero X fraction")
     return max(1, round(scenario.fringe_block_x_symbols / per_burst))
 
 
 def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
-    """First burst index of each stabilization window."""
+    """First burst index of each stabilization window: the lock schedule
+    of every engine and the oracle."""
     period = scenario.params.burst_period
     n_bursts = scenario.n_bursts
     interval = scenario.interferometer.stabilization_interval
@@ -333,39 +331,32 @@ def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
     return starts[starts < n_bursts]
 
 
+def _last_start(starts: np.ndarray, burst_idx: np.ndarray) -> np.ndarray:
+    """The latest of the servo starts at or before each burst; the first
+    start is burst 0."""
+    return starts[np.searchsorted(starts, burst_idx, side="right") - 1]
+
+
 def servo_excluded(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
-    """True for bursts consumed by stabilization (no key symbols)."""
+    """True for bursts consumed by stabilization (no key symbols).
+
+    Windows never end before an earlier one does, so the window of the
+    latest start at or before a burst decides whether one covers it."""
     idx = np.asarray(burst_idx, dtype=np.int64)
-    width = scenario.servo_bursts_per_event
-    if width <= 0:
-        return np.zeros(idx.shape, dtype=bool)
-    starts = servo_starts(scenario)
-    # windows never end before an earlier one does, so the latest start
-    # at or before a burst decides whether a window covers it
-    last = np.searchsorted(starts, idx, side="right") - 1
-    return (last >= 0) & (idx < starts[np.maximum(last, 0)] + width)
-
-
-def _lock_index(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
-    """Number of stabilization intervals completed before each burst."""
-    t = np.asarray(burst_idx, dtype=np.float64) * scenario.params.burst_period
-    return np.floor(t / scenario.interferometer.stabilization_interval)
+    last = _last_start(servo_starts(scenario), idx)
+    return idx < last + scenario.servo_bursts_per_event
 
 
 def lock_elapsed_s(scenario: ScenarioConfig, burst_pos: np.ndarray) -> np.ndarray:
-    """Seconds of free phase drift accumulated since the last lock.
+    """Seconds of free phase drift since the last lock, which is the
+    latest servo start: the burst where both engines reset the walk.
 
-    `burst_pos` may be fractional (a quadrature node); the lock interval
-    is then that of the nearest burst, and the time runs on linearly.
-    A burst on a lock can come out a rounding error below zero, which
-    is clamped.
+    `burst_pos` may be fractional (a quadrature node); the lock is then
+    that of the nearest burst, and the time runs on linearly.
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
-    interval = scenario.interferometer.stabilization_interval
-    tau = pos * scenario.params.burst_period - _lock_index(
-        scenario, np.rint(pos)
-    ) * interval
-    return np.maximum(tau, 0.0)
+    last = _last_start(servo_starts(scenario), np.rint(pos))
+    return (pos - last) * scenario.params.burst_period
 
 
 def expected_cos_theta(
@@ -381,7 +372,7 @@ def expected_cos_theta(
     `spread`, one value or one per position, shifts the walk coherently
     by that many std devs; the analytic variance bound uses it as a
     finite difference. Fractional positions take the fringe parity and
-    lock interval of the nearest burst, as in lock_elapsed_s.
+    lock of the nearest burst, as in lock_elapsed_s.
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
     sigma = scenario.interferometer.drift_sigma
@@ -486,36 +477,25 @@ def _x_key_probs(
 
 def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eligible bursts as runs [lo, hi) of constant fringe parity and
-    lock interval, with the stabilization windows cut out.
+    lock, with the stabilization windows cut out.
 
-    Lock boundaries are located with the float expression that
-    lock_elapsed_s evaluates, so that every burst falls into the segment
-    whose parity and lock interval it has itself. Under fast drift the
-    runs are also cut every 1/(8 drift_sigma^2 burst_period) bursts: the
-    drift spread sigma*sqrt(tau) then grows by at most 0.35 rad, and
+    Runs are cut at every servo start, where the phase walk resets, and
+    at every window end. Under fast drift they are also cut every
+    1/(8 drift_sigma^2 burst_period) bursts: the drift spread
+    sigma*sqrt(tau) then grows by at most 0.35 rad, and
     exp(-sigma^2 tau / 2) falls by at most e^-1/16, within one run.
     """
     n = scenario.n_bursts
-    period = scenario.params.burst_period
-    interval = scenario.interferometer.stabilization_interval
-    width = scenario.servo_bursts_per_event
     block = fringe_block_bursts(scenario)
-    rate = scenario.interferometer.drift_sigma ** 2 * period
+    rate = scenario.interferometer.drift_sigma ** 2 * scenario.params.burst_period
     span = min(n, max(1, int(0.125 / rate))) if rate > 0.0 else n
-    k = np.arange(1, int(_lock_index(scenario, n - 1)) + 1)
-    # the first burst of lock interval k lies within one burst of the
-    # exact quotient; count the candidates the float expression puts
-    # into an earlier interval
-    cand = np.ceil(k * interval / period).astype(np.int64)[:, None] + np.arange(-2, 3)
-    lock_starts = cand[:, 0] + (_lock_index(scenario, cand) < k[:, None]).sum(axis=1)
-    servo = servo_starts(scenario) if width > 0 else np.zeros(0, dtype=np.int64)
+    servo = servo_starts(scenario)
     cuts = np.unique(np.concatenate((
         [0, n],
         np.arange(block, n, block),
         np.arange(span, n, span),
-        lock_starts,
         servo,
-        np.minimum(servo + width, n),
+        np.minimum(servo + scenario.servo_bursts_per_event, n),
     )))
     lo, hi = cuts[:-1], cuts[1:]
     keep = ~servo_excluded(scenario, lo)

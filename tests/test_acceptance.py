@@ -49,6 +49,9 @@ from tbqkd.sift import TALLY_KEYS
 
 from conftest import ACCEPTANCE_LINES, small_scenario
 
+# full-length scenario runs: left out of the quick `-m "not slow"` run
+pytestmark = pytest.mark.slow
+
 #: Master seed for the randomized-configuration sweep. Fixed so the
 #: twenty configurations (and their Monte Carlo realizations) are the
 #: same vectors on every run.

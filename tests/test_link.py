@@ -69,6 +69,10 @@ class TestTransmit:
             ChannelModel()
 
 
+# one TDC step, the delay tolerance a scenario is loaded with
+TOL_PS = 42
+
+
 class TestInterfere:
     def make_xplus(self, mu_each=0.25):
         return [
@@ -78,20 +82,20 @@ class TestInterfere:
 
     def test_xplus_constructive(self):
         ifm = InterferometerModel(delay=1.25e-9, visibility=0.98)
-        out = interfere(self.make_xplus(), ifm, 0.0)
+        out = interfere(self.make_xplus(), ifm, 0.0, TOL_PS)
         means = [p.mean_photons for p in out]
         assert means == pytest.approx([0.0625, 0.2475, 0.0625], abs=1e-12)
         assert [p.bin_label for p in out] == [Bin.EARLY, Bin.CENTRAL, Bin.LATE]
 
     def test_xplus_destructive_null(self):
         ifm = InterferometerModel(delay=1.25e-9, visibility=1.0)
-        out = interfere(self.make_xplus(), ifm, math.pi)
+        out = interfere(self.make_xplus(), ifm, math.pi, TOL_PS)
         central = out[1].mean_photons
         assert central == pytest.approx(0.0, abs=1e-15)
 
     def test_z0_no_cross_term(self):
         ifm = InterferometerModel(delay=1.25e-9, visibility=0.98)
-        out = interfere([pulse(0, 0.5, Bin.EARLY)], ifm, 0.3)
+        out = interfere([pulse(0, 0.5, Bin.EARLY)], ifm, 0.3, TOL_PS)
         means = [p.mean_photons for p in out]
         assert means == pytest.approx([0.125, 0.125, 0.0], abs=1e-15)
 
@@ -99,18 +103,18 @@ class TestInterfere:
         ifm = InterferometerModel(delay=1.25e-9)
         bad = [pulse(0, 0.25, Bin.EARLY), pulse(2500, 0.25, Bin.LATE)]
         with pytest.raises(DelayMismatchError):
-            interfere(bad, ifm, 0.0)
+            interfere(bad, ifm, 0.0, TOL_PS)
 
     def test_zero_visibility_conserves_half(self):
         ifm = InterferometerModel(delay=1.25e-9, visibility=0.0)
-        out = interfere(self.make_xplus(0.3), ifm, 1.0)
+        out = interfere(self.make_xplus(0.3), ifm, 1.0, TOL_PS)
         assert sum(p.mean_photons for p in out) == pytest.approx(0.3, rel=1e-12)
 
     def test_output_never_negative(self):
         # destructive interference at V=1 bottoms out at exactly zero
         ifm = InterferometerModel(delay=1.25e-9, visibility=1.0)
         for mu in (0.01, 0.2, 0.5):
-            out = interfere(self.make_xplus(mu), ifm, math.pi)
+            out = interfere(self.make_xplus(mu), ifm, math.pi, TOL_PS)
             assert all(p.mean_photons >= 0.0 for p in out)
 
 
@@ -132,6 +136,7 @@ class TestDetect:
         mu_link = 0.5 * 10 ** -0.7
         assert 1 - math.exp(-mu_link * 0.1) == pytest.approx(9.93e-3, abs=1e-5)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("mu,seed", [(0.01, 3), (0.1, 4), (0.5, 5)])
     def test_click_rate_converges(self, mu, seed):
         # 1e6 gated trials per intensity, 3 binomial sigma

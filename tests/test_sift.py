@@ -31,6 +31,12 @@ from tbqkd.sift import (
 )
 
 
+PERIOD = 200e-9  # symbol period, s
+# a fringe-parity block longer than any burst here, which keeps every
+# burst at parity 0
+BLOCK = 100
+
+
 def sym(state, b=0, s=0, intensity=IntensityClass.Signal):
     return Symbol(state, intensity, phase=0.0, burst_index=b, slot_index=s)
 
@@ -43,16 +49,19 @@ def ev(b=0, s=0, bin=Bin.EARLY, basis=Basis.Z, t=0):
 
 class TestSift:
     def test_correct_z_detection(self):
-        res = sift([ev(bin=Bin.EARLY)], [sym(State.Z0)])
+        res = sift([ev(bin=Bin.EARLY)], [sym(State.Z0)], PERIOD, BLOCK)
         assert res.tallies.n_z_mu1 == 1 and res.tallies.m_z_mu1 == 0
 
     def test_wrong_bin_counts_as_error(self):
-        res = sift([ev(bin=Bin.LATE)], [sym(State.Z0)])
+        res = sift([ev(bin=Bin.LATE)], [sym(State.Z0)], PERIOD, BLOCK)
         assert res.tallies.n_z_mu1 == 1 and res.tallies.m_z_mu1 == 1
 
     def test_decoy_routed_to_mu2_counters(self):
         res = sift(
-            [ev(bin=Bin.LATE)], [sym(State.Z1, intensity=IntensityClass.Decoy)]
+            [ev(bin=Bin.LATE)],
+            [sym(State.Z1, intensity=IntensityClass.Decoy)],
+            PERIOD,
+            BLOCK,
         )
         assert res.tallies.n_z_mu2 == 1 and res.tallies.m_z_mu2 == 0
 
@@ -60,6 +69,7 @@ class TestSift:
         res = sift(
             [ev(bin=Bin.CENTRAL, basis=Basis.X)],
             [sym(State.XPlus)],
+            PERIOD,
             fringe_block_bursts=50,
         )
         assert res.tallies.n_x_mu1 == 1 and res.tallies.m_x_mu1 == 0
@@ -69,6 +79,7 @@ class TestSift:
         res = sift(
             [ev(b=50, bin=Bin.CENTRAL, basis=Basis.X)],
             [sym(State.XPlus, b=50)],
+            PERIOD,
             fringe_block_bursts=50,
         )
         assert res.tallies.n_x_mu1 == 1 and res.tallies.m_x_mu1 == 1
@@ -77,6 +88,7 @@ class TestSift:
         res = sift(
             [ev(bin=Bin.EARLY, basis=Basis.X), ev(s=1, bin=Bin.LATE, basis=Basis.X)],
             [sym(State.XPlus), sym(State.XPlus, s=1)],
+            PERIOD,
             fringe_block_bursts=50,
         )
         assert res.tallies.n_x == 0
@@ -86,29 +98,31 @@ class TestSift:
         res = sift(
             [ev(bin=Bin.CENTRAL, basis=Basis.X), ev(s=1, bin=Bin.EARLY, basis=Basis.Z)],
             [sym(State.Z0), sym(State.XPlus, s=1)],
+            PERIOD,
+            BLOCK,
         )
         assert res.tallies.n_z == 0 and res.tallies.n_x == 0
         assert res.discarded_cross_basis == 2
 
     def test_outside_bin_discarded(self):
-        res = sift([ev(bin=Bin.OUTSIDE)], [sym(State.Z0)])
+        res = sift([ev(bin=Bin.OUTSIDE)], [sym(State.Z0)], PERIOD, BLOCK)
         assert res.tallies.n_z == 0 and res.discarded_outside == 1
 
     def test_elapsed_time_counts_every_sent_symbol(self):
         # stabilization windows are never simulated: a burst's clicks
         # all sift, and the stabilization counter stays 0
         sent = [sym(State.Z0, b=3), sym(State.Z1, b=3, s=1)]
-        res = sift([ev(b=3, bin=Bin.EARLY)], sent, symbol_period=200e-9)
+        res = sift([ev(b=3, bin=Bin.EARLY)], sent, PERIOD, BLOCK)
         assert res.tallies.n_z == 1 and res.discarded_stabilization == 0
-        assert res.tallies.elapsed_s == 2 * 200e-9
+        assert res.tallies.elapsed_s == 2 * PERIOD
 
     def test_unmatched_event_raises(self):
         with pytest.raises(UnmatchedEventError):
-            sift([ev(b=9)], [sym(State.Z0, b=0)])
+            sift([ev(b=9)], [sym(State.Z0, b=0)], PERIOD, BLOCK)
 
     def test_duplicate_sent_record_rejected(self):
         with pytest.raises(DomainError):
-            sift([], [sym(State.Z0), sym(State.Z1)])
+            sift([], [sym(State.Z0), sym(State.Z1)], PERIOD, BLOCK)
 
     def test_every_event_lands_in_exactly_one_counter(self):
         sent = [
@@ -126,7 +140,7 @@ class TestSift:
             ev(s=0, bin=Bin.OUTSIDE),
             ev(b=7, s=0, bin=Bin.EARLY),
         ]
-        res = sift(events, sent, fringe_block_bursts=4)
+        res = sift(events, sent, PERIOD, fringe_block_bursts=4)
         t = res.tallies
         split = (
             t.n_z,

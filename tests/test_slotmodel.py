@@ -26,7 +26,6 @@ from tbqkd import (
     build_link_model,
     load_preset,
 )
-from tbqkd.errors import DomainError
 from tbqkd.sift import TALLY_KEYS
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
@@ -52,7 +51,8 @@ from tbqkd.slotmodel import (
     x_none_terms,
     x_segments,
 )
-from tbqkd import slotmodel
+from tbqkd import pipeline, slotmodel
+from tbqkd.pipeline import CHUNK_BURSTS
 from tbqkd.slotmodel import _acceptance_region, _x_key_probs
 
 from conftest import row_major_outcome_probs, scalar_link_model, small_scenario
@@ -317,16 +317,30 @@ class TestNoClickFactorization:
         np.testing.assert_allclose(eta_b, 0.0, atol=1e-15)
 
 
+# scenarios whose servo starts the oracle must take as its locks: the
+# presets, whose 100 s interval is not a whole number of bursts; an
+# interval of 1000.3 bursts, where rounding the starts matters, with no
+# servo windows; and a 10 us interval, shorter than a burst period
+LOCK_SCENARIOS = {
+    "link-7db": lambda: load_preset("link-7db"),
+    "link-14db": lambda: load_preset("link-14db"),
+    "interval-1000.3": lambda: small_scenario(
+        duration=0.1,
+        interferometer=ifm(drift_sigma=0.5, stabilization_interval=1000.3 * 24e-6),
+    ),
+    "interval-10us": lambda: small_scenario(
+        duration=0.01,
+        interferometer=ifm(drift_sigma=0.5, stabilization_interval=1e-5),
+    ),
+}
+
+
 class TestBurstBookkeeping:
     def test_fringe_block_size(self):
         # 20 symbols per burst, p_z = 0.5 -> 10 X symbols per burst
         from tbqkd import ProtocolParams
         sc = small_scenario(params=ProtocolParams(p_z=0.5), fringe_block_x_symbols=2000)
         assert fringe_block_bursts(sc) == 200
-
-    def test_fringe_block_rejects_pure_z(self):
-        with pytest.raises(DomainError):
-            fringe_block_bursts(small_scenario(params=__import__("tbqkd").ProtocolParams(p_z=1.0)))
 
     def test_parity_alternates_per_block(self):
         idx = np.arange(400)
@@ -377,15 +391,30 @@ class TestBurstBookkeeping:
 
 
     def test_lock_elapsed_never_negative(self):
-        # with a 10 us interval every fifth 24 us burst sits on a lock,
-        # where t - floor(t / interval) * interval can round below zero
-        sc = small_scenario(
-            duration=0.01,
-            interferometer=ifm(drift_sigma=0.5, stabilization_interval=1e-5),
-        )
+        # a 10 us interval is shorter than the 24 us burst period, so
+        # every burst is a servo start and the drift time stays 0
+        sc = LOCK_SCENARIOS["interval-10us"]()
         assert lock_elapsed_s(sc, np.arange(sc.n_bursts)).min() == 0.0
         exp = analytic_expected_tallies(sc)
         assert all(math.isfinite(v) for v in exp.drift_variances.values())
+
+    @pytest.mark.parametrize("case", sorted(LOCK_SCENARIOS))
+    def test_lock_elapsed_counts_from_the_latest_servo_start(self, case):
+        # the oracle's drift clock restarts exactly where the engines'
+        # walk resets to 0, chunk by chunk as _theta_walk yields it
+        sc = LOCK_SCENARIOS[case]()
+        starts = servo_starts(sc)
+        period = sc.params.burst_period
+        last = 0
+        walks = pipeline._theta_walk(sc, np.random.default_rng(3))
+        for lo, walk in zip(range(0, sc.n_bursts, CHUNK_BURSTS), walks):
+            idx = np.arange(lo, lo + walk.size)
+            marks = np.where(np.isin(idx, starts), idx, last)
+            latest = np.maximum.accumulate(marks)
+            last = latest[-1]
+            tau = lock_elapsed_s(sc, idx)
+            np.testing.assert_array_equal(tau, (idx - latest) * period)
+            np.testing.assert_array_equal(tau == 0.0, walk == 0.0)
 
 
 class TestExpectedCosTheta:
