@@ -73,8 +73,8 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
+        if not (0.0 < self.duration < math.inf):
+            raise ConfigError(f"duration must be finite, > 0, got {self.duration}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not (0.0 < self.p_z_receiver < 1.0):

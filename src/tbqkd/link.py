@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .source import OpticalPulse
 # enum members bound once: on Python 3.11 looking a member up on its
 # class costs about 0.1 us, which the reference engine pays several
 # times per slot
-_EARLY, _CENTRAL, _LATE = Bin.EARLY, Bin.CENTRAL, Bin.LATE
+_EARLY, _CENTRAL, _LATE, _OUTSIDE = Bin.EARLY, Bin.CENTRAL, Bin.LATE, Bin.OUTSIDE
 _BASIS_Z, _BASIS_X = Basis.Z, Basis.X
 
 
@@ -45,15 +45,15 @@ class ChannelModel:
     length_km: float | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha_db_per_km <= 0.0:
+        if not (self.alpha_db_per_km > 0.0):
             raise DomainError(
                 f"alpha_db_per_km must be > 0, got {self.alpha_db_per_km}"
             )
         if self.loss_db is None and self.length_km is None:
             raise DomainError("give loss_db or length_km")
-        if self.loss_db is not None and self.loss_db < 0.0:
+        if self.loss_db is not None and not (self.loss_db >= 0.0):
             raise DomainError(f"loss_db must be >= 0, got {self.loss_db}")
-        if self.length_km is not None and self.length_km < 0.0:
+        if self.length_km is not None and not (self.length_km >= 0.0):
             raise DomainError(f"length_km must be >= 0, got {self.length_km}")
 
     @property
@@ -84,23 +84,23 @@ class DetectorModel:
         # separate dark-driven from photon-driven behavior.
         if not (0.0 <= self.efficiency <= 1.0):
             raise DomainError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if self.dead_time < 0.0:
-            raise DomainError(f"dead_time must be >= 0, got {self.dead_time}")
-        if self.dark_prob_per_ns < 0.0:
+        if not (0.0 <= self.dead_time < math.inf):
+            raise DomainError(f"dead_time must be finite, >= 0, got {self.dead_time}")
+        if not (0.0 <= self.dark_prob_per_ns < math.inf):
             raise DomainError(
-                f"dark_prob_per_ns must be >= 0, got {self.dark_prob_per_ns}"
+                f"dark_prob_per_ns must be finite, >= 0, got {self.dark_prob_per_ns}"
             )
-        if self.jitter_sigma < 0.0:
-            raise DomainError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
-        if self.gate_width <= 0.0:
-            raise DomainError(f"gate_width must be > 0, got {self.gate_width}")
+        if not (0.0 <= self.jitter_sigma < math.inf):
+            raise DomainError(f"jitter_sigma must be finite, >= 0, got {self.jitter_sigma}")
+        if not (0.0 < self.gate_width < math.inf):
+            raise DomainError(f"gate_width must be finite, > 0, got {self.gate_width}")
         if not (0.0 < self.bin_window <= self.gate_width):
             raise DomainError(
                 f"bin_window must lie in (0, gate_width], got {self.bin_window}"
             )
-        if self.tdc_resolution <= 0.0:
+        if not (0.0 < self.tdc_resolution < math.inf):
             raise DomainError(
-                f"tdc_resolution must be > 0, got {self.tdc_resolution}"
+                f"tdc_resolution must be finite, > 0, got {self.tdc_resolution}"
             )
 
     @functools.cached_property
@@ -144,17 +144,17 @@ class InterferometerModel:
     stabilization_interval: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.delay <= 0.0:
-            raise DomainError(f"delay must be > 0, got {self.delay}")
+        if not (0.0 < self.delay < math.inf):
+            raise DomainError(f"delay must be finite, > 0, got {self.delay}")
         if not (0.0 <= self.visibility <= 1.0):
             raise DomainError(
                 f"visibility must lie in [0, 1], got {self.visibility}"
             )
-        if self.drift_sigma < 0.0:
-            raise DomainError(f"drift_sigma must be >= 0, got {self.drift_sigma}")
-        if self.stabilization_interval <= 0.0:
+        if not (0.0 <= self.drift_sigma < math.inf):
+            raise DomainError(f"drift_sigma must be finite, >= 0, got {self.drift_sigma}")
+        if not (0.0 < self.stabilization_interval < math.inf):
             raise DomainError(
-                "stabilization_interval must be > 0, got "
+                "stabilization_interval must be finite, > 0, got "
                 f"{self.stabilization_interval}"
             )
 
@@ -248,6 +248,24 @@ def interfere(
     ]
 
 
+def bin_regions(
+    bin_offsets: Mapping[Bin, float], det: DetectorModel
+) -> dict[Bin, tuple[float, float]]:
+    """The bin rule of every engine and the oracle: time x after the gate
+    start reads as TDC step floor(x/tdc + 1/2), and a bin takes the steps
+    within its window centered at its offset. Returns each bin's interval
+    [lo, hi) of x; a window that holds no step gives lo >= hi."""
+    tdc = float(det.tdc_resolution_ps)
+    hw = det.bin_window_ps / 2.0
+    regions = {}
+    for label, center in bin_offsets.items():
+        kmin = math.ceil((center - hw) / tdc)
+        kmax = math.floor((center + hw) / tdc)
+        lo, hi = kmin * tdc - tdc / 2.0, kmax * tdc + tdc / 2.0
+        regions[label] = (lo, hi) if kmin <= kmax else (0.0, 0.0)
+    return regions
+
+
 def detect(
     pulses: Sequence[OpticalPulse],
     det: DetectorModel,
@@ -264,7 +282,8 @@ def detect(
     with no gate raises DomainError. Photon clicks happen per pulse with
     probability 1 - exp(-mean*efficiency) at the jittered pulse center;
     the earliest non-blind candidate in time wins and starts the dead
-    time. Timestamps are TDC-quantized before bin classification.
+    time. bin_regions classifies its time after the gate start, and it
+    is stamped on the TDC grid started at the gate, rounded half up.
     """
     by_slot: dict[tuple[int, int], list[OpticalPulse]] = {}
     for p in pulses:
@@ -274,7 +293,7 @@ def detect(
     sigma = det.jitter_sigma_ps
     gate_ps = det.gate_width_ps
     tdc = det.tdc_resolution_ps
-    half_window = det.bin_window_ps / 2.0
+    regions = tuple(bin_regions(bin_offsets, det).items())
     lam_dark = det.dark_prob_per_gate
 
     events: list[DetectionEvent] = []
@@ -297,17 +316,11 @@ def detect(
         for t, is_dark in candidates:
             if t < dead_until:
                 continue
-            t_q = round(t / tdc) * tdc
-            label = Bin.OUTSIDE
-            best = half_window
-            for bin_label, offset in bin_offsets.items():
-                d = abs(t_q - (gate_start + offset))
-                if d <= best:
-                    best = d
-                    label = bin_label
+            x = t - gate_start
+            label = next((key for key, (lo, hi) in regions if lo <= x < hi), _OUTSIDE)
             events.append(
                 DetectionEvent(
-                    timestamp_ps=t_q,
+                    timestamp_ps=gate_start + math.floor(x / tdc + 0.5) * tdc,
                     burst_index=b,
                     slot_index=s,
                     bin=label,

@@ -91,16 +91,17 @@ class ProtocolParams:
             p = getattr(self, name)
             if not (0.0 < p < 1.0):
                 raise DomainError(f"{name} must lie strictly in (0, 1), got {p}")
-        if self.symbol_period <= 0.0:
+        if not (self.symbol_period > 0.0):
             raise DomainError(f"symbol_period must be positive, got {self.symbol_period}")
         if self.symbols_per_burst < 1:
             raise DomainError(
                 f"symbols_per_burst must be >= 1, got {self.symbols_per_burst}"
             )
-        if self.burst_period < self.symbols_per_burst * self.symbol_period:
+        burst = self.symbols_per_burst * self.symbol_period
+        if not (burst <= self.burst_period < math.inf):
             raise DomainError(
-                "burst_period shorter than the burst itself: "
-                f"{self.burst_period} < {self.symbols_per_burst} x {self.symbol_period}"
+                f"burst_period {self.burst_period} must be finite and cover the "
+                f"burst, {self.symbols_per_burst} x {self.symbol_period}"
             )
 
     @functools.cached_property

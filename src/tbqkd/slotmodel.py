@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .link import DetectorModel
+from .link import DetectorModel, bin_regions
 from .protocol import Basis, Bin, IntensityClass, State
 from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS, burst_parity
 
@@ -49,20 +49,6 @@ def _phi(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF, through math.erf value by value."""
     erf = [math.erf(v) for v in (z / math.sqrt(2.0)).ravel().tolist()]
     return 0.5 * (1.0 + np.array(erf).reshape(z.shape))
-
-
-def _acceptance_region(
-    center: float, det: DetectorModel
-) -> tuple[float, float]:
-    """Raw-time interval whose TDC-quantized value classifies into the
-    bin window centered at `center`. Empty regions return lo >= hi."""
-    tdc = float(det.tdc_resolution_ps)
-    hw = det.bin_window_ps / 2.0
-    kmin = math.ceil((center - hw) / tdc)
-    kmax = math.floor((center + hw) / tdc)
-    if kmax < kmin:
-        return 0.0, 0.0
-    return kmin * tdc - tdc / 2.0, kmax * tdc + tdc / 2.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +99,7 @@ def _build_gate_table(
     mean_cos) order, moved to the front."""
     gate = float(det.gate_width_ps)
     sigma = det.jitter_sigma_ps
-    regions = {b: _acceptance_region(c, det) for b, c in bin_centers.items()}
+    regions = bin_regions(bin_centers, det)
 
     real = (mean_const > 0.0) | (mean_cos != 0.0)
     # flat index of each class's i-th real component, in sorted order

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tbqkd import (
     Basis,
@@ -32,6 +33,7 @@ from tbqkd import (
     SourceConfig,
     State,
 )
+from tbqkd.link import bin_regions
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
     CLASS_ROUTE,
@@ -40,8 +42,12 @@ from tbqkd.slotmodel import (
     N_CLASSES,
     GateTable,
     LinkModel,
-    _acceptance_region,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database between runs, so each run of the suite gives the same verdict.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Populated by test_acceptance.py, echoed at the end of the run so the
 # per-criterion verdict lines survive pytest's output capture.
@@ -131,7 +137,7 @@ def _scalar_gate_table(components, bin_centers, det) -> GateTable:
     """components[c] = [(pos_ps, mean_const, mean_cos), ...]."""
     gate = float(det.gate_width_ps)
     sigma = det.jitter_sigma_ps
-    regions = {b: _acceptance_region(c, det) for b, c in bin_centers.items()}
+    regions = bin_regions(bin_centers, det)
 
     def phi(z: float) -> float:
         return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -268,6 +269,34 @@ class TestSimulate:
         )
         assert "dead time" in config_error(result)
         assert len(result.stderr.splitlines()) == 1
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("detector", "tdc_resolution"),
+            ("detector", "gate_width"),
+            ("detector", "dead_time"),
+            ("detector", "jitter_sigma"),
+            ("detector", "dark_prob_per_ns"),
+            ("interferometer", "delay"),
+            ("interferometer", "drift_sigma"),
+            ("interferometer", "stabilization_interval"),
+            ("protocol", "burst_period"),
+            ("run", "duration"),
+        ],
+    )
+    def test_infinite_value_is_a_config_error(self, runner, tmp_path, section, key):
+        # an infinite time has no picosecond count, and an infinite rate
+        # no probability: refused at load, where perfect carving
+        # (extinction_ratio_db: inf) is accepted
+        doc = cli_scenario().to_dict()
+        doc["source"]["extinction_ratio_db"] = math.inf
+        doc[section][key] = math.inf
+        path = tmp_path / "inf.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["simulate", "--config", str(path)])
+        assert key in config_error(result)
         assert isinstance(result.exception, SystemExit)
 
     def test_degenerate_run_exits_3_with_outputs(self, runner, tmp_path):

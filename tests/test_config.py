@@ -119,6 +119,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="empty"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("channel", "loss_db"),
+            ("protocol", "symbol_period"),
+            ("detector", "tdc_resolution"),
+            ("run", "duration"),
+        ],
+    )
+    def test_nan_is_refused_by_name(self, tmp_path, section, key):
+        doc = small_scenario().to_dict()
+        doc[section][key] = math.nan
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=key):
+            load_scenario(path)
+
     def test_bad_field_type_becomes_config_error(self):
         d = small_scenario().to_dict()
         d["run"]["duration"] = "long"

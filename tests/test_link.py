@@ -23,6 +23,7 @@ from tbqkd import (
     transmit,
 )
 from tbqkd.errors import DelayMismatchError, DomainError
+from tbqkd.link import bin_regions
 
 CLOCK = ClockConfig(f_ref=100e6, f_out=800e6)
 FRAMING = Framing(CLOCK)
@@ -182,12 +183,40 @@ class TestDetect:
         assert len(events) / n == pytest.approx(p, abs=4 * sigma)
 
     def test_timestamps_on_tdc_grid(self):
+        # the TDC counts from each gate start: 200 ns slots are not whole
+        # 42 ps steps, so the grid moves from gate to gate
         det = DetectorModel(dark_prob_per_ns=1e-4)
         gates = slot_gates(5000)
         pulses = [pulse(t, 0.5, b=b, s=s) for b, s, t in gates]
         events = detect_z(pulses, det, gates, np.random.default_rng(2), FRAMING)
+        starts = {(b, s): t for b, s, t in gates}
+        gate_of = [starts[ev.burst_index, ev.slot_index] for ev in events]
         assert events
-        assert all(ev.timestamp_ps % 42 == 0 for ev in events)
+        assert any(t % 42 for t in gate_of)
+        assert all((ev.timestamp_ps - t) % 42 == 0 for ev, t in zip(events, gate_of))
+
+    @pytest.mark.parametrize("label", [Bin.EARLY, Bin.LATE], ids=["early", "late"])
+    @pytest.mark.parametrize("edge", [0, 1], ids=["lo", "hi"])
+    @pytest.mark.parametrize("gate_start", [0, 1037])
+    def test_click_on_a_region_edge(self, label, edge, gate_start):
+        # a jitter-free click exactly on an edge of a bin's half-open
+        # region [lo, hi) counts into the bin at lo and into none at hi.
+        # lo = 250 ps lies halfway between two 100 ps TDC steps and reads
+        # as the later one, on and off the absolute 100 ps grid.
+        det = DetectorModel(
+            dark_prob_per_ns=0.0,
+            jitter_sigma=0.0,
+            bin_window=100e-12,
+            tdc_resolution=100e-12,
+        )
+        regions = bin_regions(FRAMING.z_offsets, det)
+        assert regions == {Bin.EARLY: (250.0, 350.0), Bin.LATE: (1550.0, 1650.0)}
+        x = int(regions[label][edge])
+        click = pulse(gate_start + x - 50, 1e9, width=100)
+        gates = [(0, 0, gate_start)]
+        (ev,) = detect_z([click], det, gates, np.random.default_rng(4), FRAMING)
+        assert ev.bin == (label if edge == 0 else Bin.OUTSIDE)
+        assert ev.timestamp_ps == gate_start + x + 50
 
     def test_dead_time_invariant_under_noise(self):
         det = DetectorModel(dead_time=2e-6, dark_prob_per_ns=5e-4)

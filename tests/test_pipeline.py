@@ -250,6 +250,26 @@ def matched_framing(shift, gap_bits, **overrides):
     )
 
 
+# (seed, X symbols per fringe block, f_out, interferometer delay, jitter,
+# TDC step, bin window) of windows only a few TDC steps wide, where every
+# engine must apply the one bin rule of link.bin_regions
+TDC_GRID_CASES = {
+    # a 1502 ps arm delay against the 1462 ps separation, one 40 ps TDC
+    # step off, which loads; the central output lands 40 ps late and falls
+    # outside its 60 ps window, so the oracle must place the outputs where
+    # the interferometer puts them
+    "delay_off": (57, 200, 684e6, 1.502e-9, 10e-12, 40e-12, 60e-12),
+    # the central window holds no 192 ps step: no central click counts
+    "tdc192_win58.7": (11, 2000, 684e6, 1.462e-9, 30e-12, 192e-12, 58.7e-12),
+    "tdc150_win100": (11, 2000, 684e6, 1.462e-9, 30e-12, 150e-12, 100e-12),
+    "tdc42_win60": (11, 2000, 684e6, 1.462e-9, 30e-12, 42e-12, 60e-12),
+    # jitter-free, the central output lands 2450 ps into the gate, exactly
+    # between TDC steps 24 and 25: it reads as step 25, inside its window
+    # (rounding half to even would read step 24, outside)
+    "tie": (11, 2000, 500e6, 1.95e-9, 0.0, 100e-12, 100e-12),
+}
+
+
 class TestFramingAcrossEngines:
     """Every engine reads the scenario's framing, so both sampling
     engines agree with the oracle whatever shift and gap the run uses."""
@@ -298,29 +318,29 @@ class TestFramingAcrossEngines:
         assert_within_4_sigma(run_simulation(sc), expected)
         assert_within_4_sigma(run_simulation_reference(sc), expected)
 
-    def test_engines_agree_when_the_delay_is_one_tdc_step_off(self):
-        # a 1502 ps arm delay against the 1462 ps separation, one 40 ps TDC
-        # step off, which loads; the central output lands 40 ps late and
-        # falls outside its 60 ps window, so the oracle must place the
-        # outputs where the interferometer puts them. 200 ns slots and
-        # 24 us bursts start on the 40 ps TDC grid, where the oracle's
-        # quantization of each window is exact.
+    @pytest.mark.parametrize("case", list(TDC_GRID_CASES))
+    def test_engines_agree_on_the_tdc_grid(self, case):
+        # no loss, a fivefold efficiency and p_z 0.3 fill the X keys; the
+        # TDC counts from each gate start, so slot starts need not lie on
+        # its grid
+        seed, block, f_out, delay, jitter, tdc, window = TDC_GRID_CASES[case]
         base = small_scenario()
         det = dataclasses.replace(
             base.detector,
             efficiency=0.5,
-            tdc_resolution=40e-12,
-            bin_window=60e-12,
-            jitter_sigma=10e-12,
+            tdc_resolution=tdc,
+            bin_window=window,
+            jitter_sigma=jitter,
         )
         sc = small_scenario(
             duration=0.02,
-            seed=57,
+            seed=seed,
             params=dataclasses.replace(base.params, p_z=0.3),
+            clock=dataclasses.replace(base.clock, f_out=f_out),
             channel=ChannelModel(loss_db=0.0),
             detector=det,
-            interferometer=dataclasses.replace(base.interferometer, delay=1.502e-9),
-            fringe_block_x_symbols=200,
+            interferometer=dataclasses.replace(base.interferometer, delay=delay),
+            fringe_block_x_symbols=block,
         )
         expected = analytic_expected_tallies(sc)
         assert_within_4_sigma(run_simulation(sc), expected)

@@ -3,10 +3,11 @@ the value semantics of the objects it passes along.
 
 The records below are whole RunOutcomes (timings take no part in
 equality) and detector event lists of the event-by-event chain. They pin
-the RNG stream, the order of its scalar draws and the absolute-grid TDC
-of link.detect, which rounds the absolute click time to the TDC step. A
-change that moves any of these changes a record here, and must replace
-the record knowingly.
+the RNG stream, the order of its scalar draws and the gate-started TDC
+of link.detect, which counts TDC steps from the gate start and takes a
+bin by the half-open regions of link.bin_regions. A change that moves
+any of these changes a record here, and must replace the record
+knowingly.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ RECORDS = {
         symbols_sent=8340,
     ),
     "0db_eff0.5": dict(
-        tallies=(238, 67, 3, 2, 23, 2, 0, 0),
+        tallies=(240, 67, 3, 2, 23, 2, 0, 0),
         sent=((2311, 1347), (2369, 1440), (548, 325)),
         elapsed_s=0.001668,
-        discards=(294, 3, 13, 0),
+        discards=(294, 1, 13, 0),
         eligible_bursts=417,
         total_bursts=417,
         symbols_sent=8340,
@@ -144,7 +145,7 @@ RECORDS = {
         tallies=(54, 9, 0, 0, 9, 1, 0, 0),
         sent=((2343, 1383), (2421, 1376), (485, 332)),
         elapsed_s=0.001668,
-        discards=(42, 1, 2, 0),
+        discards=(43, 0, 2, 0),
         eligible_bursts=417,
         total_bursts=417,
         symbols_sent=8340,
@@ -228,42 +229,42 @@ def _x_groups():
 
 
 DETECT_Z_EVENTS = [
-    (201894, "LATE", False),
-    (600264, "EARLY", False),
-    (1200612, "EARLY", False),
-    (2001930, "LATE", False),
-    (2601774, "LATE", False),
-    (3201786, "LATE", False),
-    (3801672, "LATE", False),
-    (24201660, "LATE", False),
-    (24600324, "EARLY", False),
-    (24801672, "LATE", False),
-    (25004784, "OUTSIDE", True),
-    (26601876, "LATE", False),
-    (27000162, "EARLY", False),
-    (27201678, "LATE", False),
-    (27600174, "EARLY", False),
-    (27801774, "LATE", False),
+    (201890, "LATE", False),
+    (600252, "EARLY", False),
+    (1200588, "EARLY", False),
+    (2001890, "LATE", False),
+    (2601806, "LATE", False),
+    (3201764, "LATE", False),
+    (3801680, "LATE", False),
+    (24201680, "LATE", False),
+    (24600336, "EARLY", False),
+    (24801680, "LATE", False),
+    (25004788, "OUTSIDE", True),
+    (26601848, "LATE", False),
+    (27000168, "EARLY", False),
+    (27201680, "LATE", False),
+    (27600168, "EARLY", False),
+    (27801764, "LATE", False),
 ]
 DETECT_X_EVENTS = [
     (1428, "CENTRAL", False),
-    (400428, "EARLY", False),
-    (600558, "EARLY", False),
-    (801696, "CENTRAL", False),
-    (1001574, "CENTRAL", False),
-    (1601796, "CENTRAL", False),
-    (1802136, "CENTRAL", False),
-    (2002098, "CENTRAL", False),
-    (2200128, "EARLY", False),
-    (2401770, "CENTRAL", False),
-    (3601206, "OUTSIDE", True),
-    (24401664, "CENTRAL", False),
-    (24801882, "CENTRAL", False),
+    (400462, "EARLY", False),
+    (600546, "EARLY", False),
+    (801680, "CENTRAL", False),
+    (1001554, "CENTRAL", False),
+    (1601806, "CENTRAL", False),
+    (1802142, "CENTRAL", False),
+    (2002100, "CENTRAL", False),
+    (2200126, "EARLY", False),
+    (2401764, "CENTRAL", False),
+    (3601176, "OUTSIDE", True),
+    (24401680, "CENTRAL", False),
+    (24801890, "CENTRAL", False),
     (25211508, "OUTSIDE", True),
-    (26001990, "CENTRAL", False),
-    (26401872, "CENTRAL", False),
-    (27201846, "CENTRAL", False),
-    (27600216, "EARLY", False),
+    (26001974, "CENTRAL", False),
+    (26401890, "CENTRAL", False),
+    (27201848, "CENTRAL", False),
+    (27600210, "EARLY", False),
 ]
 
 

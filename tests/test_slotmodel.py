@@ -26,6 +26,7 @@ from tbqkd import (
     build_link_model,
     load_preset,
 )
+from tbqkd.link import bin_regions
 from tbqkd.sift import TALLY_KEYS
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
@@ -53,7 +54,7 @@ from tbqkd.slotmodel import (
 )
 from tbqkd import pipeline, slotmodel
 from tbqkd.pipeline import CHUNK_BURSTS
-from tbqkd.slotmodel import _acceptance_region, _x_key_probs
+from tbqkd.slotmodel import _x_key_probs
 
 from conftest import row_major_outcome_probs, scalar_link_model, small_scenario
 from test_pipeline import IDENTITY_SCENARIOS
@@ -288,10 +289,7 @@ class TestGateTables:
         assert (ideal.z_table.n_comp == 1).any()
         assert (ideal.x_table.n_comp == 2).any()
         sc = tdc_free_window_scenario()
-        regions = [
-            _acceptance_region(c, sc.detector)
-            for c in sc.framing.x_offsets.values()
-        ]
+        regions = bin_regions(sc.framing.x_offsets, sc.detector).values()
         assert any(lo >= hi for lo, hi in regions)
         assert GATE_TABLE_SCENARIOS["jitter0"]().detector.jitter_sigma_ps == 0.0
         sc = GATE_TABLE_SCENARIOS["delay-off-by-a-tdc-step"]()
