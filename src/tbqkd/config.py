@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import importlib.resources
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Any
 
 import yaml
 
-from .errors import ConfigError, DomainError, EncodingOverflowError
+from .errors import ConfigError, EncodingOverflowError
 from .keyrate import SecurityParams
 from .link import ChannelModel, DetectorModel, InterferometerModel
 from .ppg import WORD_BITS, ClockConfig, Framing
@@ -75,6 +76,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.duration < math.inf):
             raise ConfigError(f"duration must be finite, > 0, got {self.duration}")
+        # the engines count bursts, bits and seeds with these: a float,
+        # even an infinite or NaN one, would fail only mid-run
+        for name in ("seed", "shift", "gap_bits", "fringe_block_x_symbols",
+                     "servo_bursts_per_event"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not (0.0 < self.p_z_receiver < 1.0):
@@ -150,6 +158,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ScenarioConfig":
+        """The scenario a YAML document describes; any value the models
+        refuse raises a ConfigError."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
         data = dict(raw)
@@ -170,9 +180,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config sections: {sorted(data)}")
         try:
             return cls(**kwargs, **receiver, **run)
-        except (DomainError, ConfigError):
+        except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # DomainError among them
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -200,9 +210,7 @@ def _build_section(section: str, cls: type, body: dict[str, Any]) -> Any:
         coerced[key] = value
     try:
         return cls(**coerced)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # DomainError among them
         raise ConfigError(f"invalid section '{section}': {exc}") from exc
 
 
@@ -218,7 +226,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"empty config file: {path}")
     try:
         return ScenarioConfig.from_dict(raw)
-    except DomainError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -244,5 +252,5 @@ def load_preset(name: str) -> ScenarioConfig:
     raw = yaml.safe_load(text)
     try:
         return ScenarioConfig.from_dict(raw)
-    except DomainError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"preset '{name}': {exc}") from exc

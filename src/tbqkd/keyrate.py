@@ -36,8 +36,8 @@ class SecurityParams:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {v}")
-        if self.f_ec < 1.0:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not (1.0 <= self.f_ec < math.inf):
+            raise DomainError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 def hoeffding_delta(n: float, eps: float) -> float:

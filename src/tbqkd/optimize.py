@@ -14,7 +14,12 @@ from .errors import EmptyGridError
 from .keyrate import KeyRateReport, keyrate
 from .protocol import ProtocolParams
 from .sift import TALLY_KEYS, TallyCounts
-from .slotmodel import ExpectedTallies, analytic_expected_tallies
+from .slotmodel import (
+    ExpectedTallies,
+    analytic_expected_tallies,
+    fringe_block_bursts,
+    grouped_expected_tallies,
+)
 
 GRID_CSV_FIELDS = ("mu1", "mu2", "p_mu1", "p_z", "skl")
 
@@ -67,7 +72,11 @@ def expected_tally_counts(expected: ExpectedTallies) -> TallyCounts:
 
 def expected_keyrate(scenario: ScenarioConfig) -> KeyRateReport:
     """Key analysis applied to the analytic expected tallies."""
-    expected = analytic_expected_tallies(scenario)
+    return _keyrate_of(scenario, analytic_expected_tallies(scenario))
+
+
+def _keyrate_of(scenario: ScenarioConfig, expected: ExpectedTallies) -> KeyRateReport:
+    """Key analysis of the scenario's expected tallies."""
     return keyrate(
         expected_tally_counts(expected),
         scenario.params,
@@ -83,26 +92,40 @@ def optimize_params(scenario: ScenarioConfig, grid: GridSpec) -> GridResult:
     Deterministic: axes are sorted, ties keep the lexicographically
     smallest parameter tuple. Raises EmptyGridError when no combination
     is a valid parameter set.
+
+    The points that share a fringe block length, the one input of the
+    lock schedule that a grid point changes, are evaluated in one
+    grouped_expected_tallies pass; each point's result is that of its
+    own expected_keyrate.
     """
-    points: list[GridPoint] = []
-    best: tuple[ProtocolParams, KeyRateReport] | None = None
-    for mu1, mu2, p_mu1, p_z in itertools.product(*grid.axes()):
-        if not (0.0 < mu2 < mu1) or not (0.0 < p_mu1 < 1.0) or not (0.0 < p_z < 1.0):
-            continue
-        params = dataclasses.replace(
+    candidates = [
+        scenario.replace(params=dataclasses.replace(
             scenario.params, mu1=mu1, mu2=mu2, p_mu1=p_mu1, p_z=p_z
-        )
-        report = expected_keyrate(scenario.replace(params=params))
-        points.append(GridPoint(mu1, mu2, p_mu1, p_z, report.skl))
-        if best is None or report.skl > best[1].skl:
-            best = (params, report)
-    if best is None:
+        ))
+        for mu1, mu2, p_mu1, p_z in itertools.product(*grid.axes())
+        if 0.0 < mu2 < mu1 and 0.0 < p_mu1 < 1.0 and 0.0 < p_z < 1.0
+    ]
+    if not candidates:
         raise EmptyGridError("grid contains no valid parameter combination")
+    groups: dict[int, list[int]] = {}
+    for i, sc in enumerate(candidates):
+        groups.setdefault(fringe_block_bursts(sc), []).append(i)
+    reports: dict[int, KeyRateReport] = {}
+    for members in groups.values():
+        expected = grouped_expected_tallies([candidates[i] for i in members])
+        for i, exp in zip(members, expected):
+            reports[i] = _keyrate_of(candidates[i], exp)
+    # max keeps the first of equal maxima
+    top = max(range(len(candidates)), key=lambda i: reports[i].skl)
+    params = [sc.params for sc in candidates]
     return GridResult(
-        best=best[0],
-        best_skl=best[1].skl,
-        best_report=best[1],
-        points=tuple(points),
+        best=params[top],
+        best_skl=reports[top].skl,
+        best_report=reports[top],
+        points=tuple(
+            GridPoint(p.mu1, p.mu2, p.p_mu1, p.p_z, reports[i].skl)
+            for i, p in enumerate(params)
+        ),
     )
 
 

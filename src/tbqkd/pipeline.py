@@ -95,16 +95,16 @@ class RunOutcome:
 
 
 def _theta_walk(
-    scenario: ScenarioConfig, rng: np.random.Generator
+    scenario: ScenarioConfig, resets: np.ndarray, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """Drift walk per burst, reset to 0 at each stabilization window,
-    yielded in CHUNK_BURSTS pieces. The normal draws and the running sum
-    carried across pieces are those of one whole-run walk, so memory
-    stays flat in duration while the realization does not change."""
+    """Drift walk per burst, reset to 0 at each of the scenario's
+    servo_starts, yielded in CHUNK_BURSTS pieces. The normal draws and
+    the running sum carried across pieces are those of one whole-run
+    walk, so memory stays flat in duration while the realization does
+    not change."""
     n = scenario.n_bursts
     sigma = scenario.interferometer.drift_sigma
     step = sigma * math.sqrt(scenario.params.burst_period)
-    resets = servo_starts(scenario)
     carry = 0.0
     for lo in range(0, n, CHUNK_BURSTS):
         hi = min(lo + CHUNK_BURSTS, n)
@@ -291,7 +291,7 @@ def _servo_rows(
     span = np.arange(
         max(lo, near[0]), min(hi, near[-1] + scenario.servo_bursts_per_event)
     )
-    return span[servo_excluded(scenario, span)] - lo
+    return span[servo_excluded(scenario, starts, span)] - lo
 
 
 def _run_outcome(
@@ -354,8 +354,8 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     root = np.random.default_rng(scenario.seed)
     n_chunks = (n_bursts + CHUNK_BURSTS - 1) // CHUNK_BURSTS
     theta_rng, *chunk_rngs = root.spawn(1 + n_chunks)
-    walks = _theta_walk(scenario, theta_rng)
     starts = servo_starts(scenario)
+    walks = _theta_walk(scenario, starts, theta_rng)
 
     class_edges = np.cumsum(model.priors)[:-1]
     cell_edges = class_edges[_CELL_STARTS - 1]
@@ -467,10 +467,11 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
     t0 = clock()
     root = np.random.default_rng(scenario.seed)
     theta_rng, sym_rng, det_rng_z, det_rng_x = root.spawn(4)
-    walk = np.concatenate(list(_theta_walk(scenario, theta_rng)))
+    starts = servo_starts(scenario)
+    walk = np.concatenate(list(_theta_walk(scenario, starts, theta_rng)))
     t1 = clock()
     idx_all = np.arange(n_bursts, dtype=np.int64)
-    excluded_mask = servo_excluded(scenario, idx_all)
+    excluded_mask = servo_excluded(scenario, starts, idx_all)
     block = fringe_block_bursts(scenario)
     parity_all = burst_parity(idx_all, block)
     channel = scenario.channel

@@ -83,9 +83,10 @@ class ProtocolParams:
     burst_period: float = 24e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.mu2 < self.mu1):
+        if not (0.0 < self.mu2 < self.mu1 < math.inf):
             raise DomainError(
-                f"need 0 < mu2 < mu1, got mu1={self.mu1}, mu2={self.mu2}"
+                f"need 0 < mu2 < mu1 and mu1 finite, got mu1={self.mu1}, "
+                f"mu2={self.mu2}"
             )
         for name in ("p_mu1", "p_z"):
             p = getattr(self, name)

@@ -20,7 +20,7 @@ dark_rate*jitter/gate ~ 1e-8, far below any statistical resolution here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +56,13 @@ class GateTable:
     """Per-class gate description for one detector.
 
     Arrays are component-major, the class last, so that outcome_probs
-    gathers whole component rows for many slots at once. Components are
-    padded to 3 and ordered by position; mean(theta) = mean_const +
-    mean_cos * cos(theta). comp_w[i, :, c] is the classification
-    distribution of component i's click over the four outcome columns.
+    gathers whole component rows for many slots at once. A table built
+    for several scenarios holds 12 class columns per scenario (class c
+    of scenario p is column 12p + c), where the shapes below read 12.
+    Components are padded to 3 and ordered by position; mean(theta) =
+    mean_const + mean_cos * cos(theta). comp_w[i, :, c] is the
+    classification distribution of component i's click over the four
+    outcome columns.
     dark_span[k, :, c] is the per-gate probability mass of a dark landing
     in race interval k and classifying into each column; dark intervals
     are bounded by dark_edges[:, c]. Padded components have zero means.
@@ -93,10 +96,11 @@ def _build_gate_table(
     bin_centers: dict[Bin, float],
     det: DetectorModel,
 ) -> GateTable:
-    """Gate table of the photon components given as (3, 12) arrays of
-    position (ps), mean_const and mean_cos per class. Components with a
-    zero mean drop out; each class keeps the rest in (pos, mean_const,
-    mean_cos) order, moved to the front."""
+    """Gate table of the photon components given as (3, n) arrays of
+    position (ps), mean_const and mean_cos per class column. Components
+    with a zero mean drop out; each class keeps the rest in (pos,
+    mean_const, mean_cos) order, moved to the front."""
+    n_cls = pos.shape[1]
     gate = float(det.gate_width_ps)
     sigma = det.jitter_sigma_ps
     regions = bin_regions(bin_centers, det)
@@ -104,7 +108,7 @@ def _build_gate_table(
     real = (mean_const > 0.0) | (mean_cos != 0.0)
     # flat index of each class's i-th real component, in sorted order
     order = np.lexsort((mean_cos, mean_const, pos, ~real), axis=0)
-    order = order * N_CLASSES + np.arange(N_CLASSES)
+    order = order * n_cls + np.arange(n_cls)
     real = real.ravel()[order]
     pos, a_arr, b_arr = (
         np.where(real, v.ravel()[order], 0.0) for v in (pos, mean_const, mean_cos)
@@ -119,15 +123,15 @@ def _build_gate_table(
         w = cdf[:, 1] - cdf[:, 0]
     else:
         w = ((bounds[:, 0] <= x) & (x < bounds[:, 1])).astype(np.float64)
-    w_bins = np.zeros((len(regions), 3, N_CLASSES))
+    w_bins = np.zeros((len(regions), 3, n_cls))
     w_bins[:, real] = w
-    w_arr = np.zeros((3, 4, N_CLASSES))
+    w_arr = np.zeros((3, 4, n_cls))
     w_arr[:, list(regions)] = w_bins.transpose(1, 0, 2)
     # the columns add up in index order
     outside = np.maximum(0.0, 1.0 - w_arr.sum(axis=1))
     w_arr[:, COL_OUTSIDE] = np.where(real, outside, 0.0)
 
-    edges = np.full((5, N_CLASSES), gate)
+    edges = np.full((5, n_cls), gate)
     edges[0] = 0.0
     edges[1:4] = np.where(real, pos, gate)
     lo_k, hi_k = edges[:4], edges[1:]
@@ -138,7 +142,7 @@ def _build_gate_table(
         np.maximum(bounds[:, :1], lo_k), 0.0
     )
     binned = np.maximum(0.0, ov) / gate
-    spans = np.zeros((4, 4, N_CLASSES))
+    spans = np.zeros((4, 4, n_cls))
     spans[:, list(regions)] = binned.transpose(1, 0, 2)
     # the windows add up in column order
     spans[:, COL_OUTSIDE] = np.maximum(0.0, widths - binned.sum(axis=0))
@@ -165,7 +169,8 @@ def _build_gate_table(
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Slot-class priors plus one GateTable per detector."""
+    """Slot-class priors, one per GateTable class column, plus one
+    GateTable per detector."""
 
     priors: np.ndarray        # (12,)
     z_table: GateTable
@@ -177,33 +182,47 @@ class LinkModel:
 
 def build_link_model(scenario: ScenarioConfig) -> LinkModel:
     """Derive the 12-class gate tables from the scenario's models."""
-    params = scenario.params
-    src = scenario.source
-    det = scenario.detector
-    ifm = scenario.interferometer
-    t_ch = scenario.channel.transmission
+    return _link_model([scenario])
 
-    p_state = params.state_probabilities()
-    p_int = np.array([params.p_mu1, params.p_mu2])
-    p_route = np.array([scenario.p_z_receiver, 1.0 - scenario.p_z_receiver])
-    priors = p_state[CLASS_STATE] * p_int[CLASS_INTENSITY] * p_route[CLASS_ROUTE]
 
-    z_off = scenario.framing.z_offsets
-    x_off = scenario.framing.x_offsets
+def _link_model(scenarios: Sequence[ScenarioConfig]) -> LinkModel:
+    """The link models of scenarios that differ at most in their protocol
+    parameters, in one pass: class c of scenario p is column 12p + c of
+    the priors and of both gate tables. Everything else is read from the
+    first scenario."""
+    first = scenarios[0]
+    params = [sc.params for sc in scenarios]
+    src = first.source
+    det = first.detector
+    ifm = first.interferometer
+    t_ch = first.channel.transmission
+
+    # per scenario (rows) and class (columns)
+    p_state = np.array([p.state_probabilities() for p in params])
+    values = np.array([(p.p_mu1, p.p_mu2, p.mu1, src.ratio(p)) for p in params])
+    p_int, mu1, ratio = values[:, :2], values[:, 2:3], values[:, 3:]
+    p_route = np.array([first.p_z_receiver, 1.0 - first.p_z_receiver])
+    priors = p_state[:, CLASS_STATE] * p_int[:, CLASS_INTENSITY] * p_route[CLASS_ROUTE]
+
+    z_off = first.framing.z_offsets
+    x_off = first.framing.x_offsets
     delay = ifm.delay_ps
     leak = src.leak_fraction
     im1 = src.im1_transmission_x
 
     # per class: Z0 leaks into the late bin, Z1 into the early one, and
     # XPlus carries both pulses through IM1
-    mu_on = params.mu1 * np.where(CLASS_INTENSITY == 1, src.ratio(params), 1.0)
+    mu_on = mu1 * np.where(CLASS_INTENSITY == 1, ratio, 1.0)
     mu_early = mu_on * np.array([1.0, leak, im1])[CLASS_STATE] * t_ch
     mu_late = mu_on * np.array([leak, 1.0, im1])[CLASS_STATE] * t_ch
-    zero = np.zeros(N_CLASSES)
+    zero = np.zeros_like(mu_on)
     to_z = CLASS_ROUTE == int(Basis.Z)
 
-    z_pos = np.repeat([[z_off[Bin.EARLY]], [z_off[Bin.LATE]], [0.0]], N_CLASSES, axis=1)
-    z_const = np.where(to_z, np.stack((mu_early, mu_late, zero)), 0.0)
+    # (component, scenario, class) arrays, read as (component, column)
+    z_pos = np.repeat(
+        [[z_off[Bin.EARLY]], [z_off[Bin.LATE]], [0.0]], priors.size, axis=1
+    )
+    z_const = np.where(to_z, np.stack((mu_early, mu_late, zero)), 0.0).reshape(3, -1)
 
     cross = 0.5 * ifm.visibility * np.sqrt(mu_early * mu_late)
     # the outputs lie one arm delay apart, which may differ from the
@@ -211,14 +230,14 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
     # link.interfere, they follow the early pulse, or the late one when
     # there is no early pulse
     t0 = np.where(mu_early > 0.0, z_off[Bin.EARLY], z_off[Bin.LATE] - delay)
-    x_pos = np.stack((t0, t0 + delay, t0 + 2 * delay))
+    x_pos = np.stack((t0, t0 + delay, t0 + 2 * delay)).reshape(3, -1)
     x_const = np.where(
         to_z, 0.0, np.stack((mu_early, mu_early + mu_late, mu_late)) / 4.0
-    )
-    x_cos = np.where(to_z, 0.0, np.stack((zero, cross, zero)))
+    ).reshape(3, -1)
+    x_cos = np.where(to_z, 0.0, np.stack((zero, cross, zero))).reshape(3, -1)
 
     return LinkModel(
-        priors=priors,
+        priors=priors.ravel(),
         z_table=_build_gate_table(z_pos, z_const, np.zeros_like(z_pos), z_off, det),
         x_table=_build_gate_table(x_pos, x_const, x_cos, x_off, det),
     )
@@ -227,8 +246,11 @@ def build_link_model(scenario: ScenarioConfig) -> LinkModel:
 def outcome_probs(
     table: GateTable, cls: np.ndarray, cos_t: np.ndarray
 ) -> np.ndarray:
-    """First-click outcome distribution, shape (n, 5), a transposed view
-    of the component-major (5, n) array it is computed in.
+    """First-click outcome distribution of classes cls at phases cos_t,
+    which broadcast together to a shape s: shape (*s, 5), a view of the
+    component-major (5, *s) array it is computed in. Each table column
+    is gathered once per entry of cls, so classes given as a column
+    (m, 1) against phases (n,) gather m columns for m * n outcomes.
 
     Race model: photon component i clicks with q_i = 1 - exp(-eta*m_i)
     and competes at its nominal position; darks arrive as a uniform
@@ -239,7 +261,8 @@ def outcome_probs(
     """
     cls = np.asarray(cls, dtype=np.int64)
     cos_t = np.asarray(cos_t, dtype=np.float64)
-    out = np.empty((COL_NONE + 1, cls.shape[0]))
+    shape = np.broadcast(cls, cos_t).shape
+    out = np.empty((COL_NONE + 1, *shape))
 
     def take(arr: np.ndarray) -> np.ndarray:
         return arr.take(cls, axis=-1)
@@ -262,7 +285,7 @@ def outcome_probs(
 
     if table.lam_dark > 0.0:
         # photons at or before the interval must all miss
-        alive_dark = np.empty((4, cls.shape[0]))
+        alive_dark = np.empty((4, *shape))
         alive_dark[0] = 1.0
         np.exp(-table.eta * prefix_full, out=alive_dark[1:])
         cond = take(table.dark_win) * alive_dark / take(table.dark_width)
@@ -272,13 +295,14 @@ def outcome_probs(
         clicks += dark
 
     out[COL_NONE] = np.exp(-table.lam_dark - table.eta * prefix_full[2])
-    return out.T
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def static_outcome(table: GateTable) -> np.ndarray:
-    """Outcome distribution for all 12 classes when mean_cos plays no
-    role (the direct path) or at a fixed cos(theta)=0."""
-    return outcome_probs(table, np.arange(N_CLASSES), np.zeros(N_CLASSES))
+    """Outcome distribution for every class column when mean_cos plays
+    no role (the direct path) or at a fixed cos(theta)=0."""
+    n_cls = table.n_comp.size
+    return outcome_probs(table, np.arange(n_cls), np.zeros(n_cls))
 
 
 def duty_factor(q_any: np.ndarray | float, slots: int) -> np.ndarray | float:
@@ -308,7 +332,8 @@ def fringe_block_bursts(scenario: ScenarioConfig) -> int:
 
 def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
     """First burst index of each stabilization window: the lock schedule
-    of every engine and the oracle."""
+    of every engine and the oracle. Each engine run and each oracle pass
+    builds it once and passes it to the functions below."""
     period = scenario.params.burst_period
     n_bursts = scenario.n_bursts
     interval = scenario.interferometer.stabilization_interval
@@ -323,34 +348,42 @@ def _last_start(starts: np.ndarray, burst_idx: np.ndarray) -> np.ndarray:
     return starts[np.searchsorted(starts, burst_idx, side="right") - 1]
 
 
-def servo_excluded(scenario: ScenarioConfig, burst_idx: np.ndarray) -> np.ndarray:
-    """True for bursts consumed by stabilization (no key symbols).
+def servo_excluded(
+    scenario: ScenarioConfig, starts: np.ndarray, burst_idx: np.ndarray
+) -> np.ndarray:
+    """True for bursts consumed by stabilization (no key symbols), given
+    the scenario's servo_starts.
 
     Windows never end before an earlier one does, so the window of the
     latest start at or before a burst decides whether one covers it."""
     idx = np.asarray(burst_idx, dtype=np.int64)
-    last = _last_start(servo_starts(scenario), idx)
+    last = _last_start(starts, idx)
     return idx < last + scenario.servo_bursts_per_event
 
 
-def lock_elapsed_s(scenario: ScenarioConfig, burst_pos: np.ndarray) -> np.ndarray:
+def lock_elapsed_s(
+    scenario: ScenarioConfig, starts: np.ndarray, burst_pos: np.ndarray
+) -> np.ndarray:
     """Seconds of free phase drift since the last lock, which is the
-    latest servo start: the burst where both engines reset the walk.
+    latest of the scenario's servo_starts: the burst where both engines
+    reset the walk.
 
     `burst_pos` may be fractional (a quadrature node); the lock is then
     that of the nearest burst, and the time runs on linearly.
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
-    last = _last_start(servo_starts(scenario), np.rint(pos))
+    last = _last_start(starts, np.rint(pos))
     return (pos - last) * scenario.params.burst_period
 
 
 def expected_cos_theta(
     scenario: ScenarioConfig,
+    starts: np.ndarray,
     burst_pos: np.ndarray,
     spread: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """E[cos(theta_b)] per burst under the locked random-walk model.
+    """E[cos(theta_b)] per burst under the locked random-walk model,
+    given the scenario's servo_starts.
 
     After each stabilization the servo holds theta at the current fringe
     block's lock point (0 or pi); drift then accumulates as a Brownian
@@ -362,7 +395,7 @@ def expected_cos_theta(
     """
     pos = np.asarray(burst_pos, dtype=np.float64)
     sigma = scenario.interferometer.drift_sigma
-    tau = lock_elapsed_s(scenario, pos)
+    tau = lock_elapsed_s(scenario, starts, pos)
     sign = 1.0 - 2.0 * burst_parity(np.rint(pos), fringe_block_bursts(scenario))
     damp = np.exp(-0.5 * sigma * sigma * tau)
     shift = spread * sigma * np.sqrt(tau)
@@ -421,12 +454,14 @@ def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
 
 def _x_key_probs(
     model: LinkModel,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[[np.ndarray, np.ndarray, slice], tuple[np.ndarray, np.ndarray]]:
     """The per-slot probabilities of the tally keys on the interferometer
-    detector as a function of cos(theta): for phases cos_t (n,), the key
-    probabilities (2, n, len(TALLY_KEYS)) for fringe parity 0 and 1, and
-    the any-click probability (n,). The phase-free terms are evaluated
-    here, once.
+    detector as a function of the phase, for each scenario of the model:
+    for phases cos_t (n,) and fringe parities (n,) of n bursts and a
+    slice of the model's scenarios, the key probabilities (scenarios, n,
+    len(TALLY_KEYS)) at each burst's own parity, and the any-click
+    probability (scenarios, n). The phase-free terms are evaluated here,
+    once.
 
     Only classes that sift_rule counts and whose mean depends on the
     phase (XPlus routed to the interferometer) need the full per-burst
@@ -435,35 +470,62 @@ def _x_key_probs(
     every class through its closed-form no-click factor.
     """
     table = model.x_table
-    k_fac, eta_b = x_none_terms(table)
-    none_groups = [
-        (g, float(np.dot(model.priors, np.where(eta_b == g, k_fac, 0.0))))
-        for g in np.unique(eta_b)
-    ]
-    phased = table.mean_cos.any(axis=0)
+    priors = model.priors.reshape(-1, N_CLASSES)
+    n_sc = priors.shape[0]
+    k_fac, eta_b = (v.reshape(n_sc, N_CLASSES) for v in x_none_terms(table))
+    # per scenario, the no-click mass of the classes that share each
+    # distinct eta_b; the padding has mass 0 and adds exactly nothing
+    groups = [np.unique(e) for e in eta_b]
+    none_g = np.zeros((n_sc, max(len(g) for g in groups)))
+    none_w = np.zeros_like(none_g)
+    for i, g in enumerate(groups):
+        none_g[i, : len(g)] = g
+        none_w[i, : len(g)] = [
+            np.dot(priors[i], np.where(eta_b[i] == v, k_fac[i], 0.0)) for v in g
+        ]
+    phased = table.mean_cos.any(axis=0).reshape(n_sc, N_CLASSES).any(axis=0)
     fixed = _X_COUNTED & ~phased
-    p_fixed = _class_key_probs(
-        _X_WEIGHTS[:, fixed], model.priors[fixed], static_outcome(table)[fixed]
-    )[:, None, :]
+    static = static_outcome(table).reshape(n_sc, N_CLASSES, -1)
+    p_fixed = np.array([
+        _class_key_probs(_X_WEIGHTS[:, fixed], priors[i, fixed], static[i, fixed])
+        for i in range(n_sc)
+    ])
     counted = np.flatnonzero(_X_COUNTED & phased)
+    # table columns of the counted phased classes, per scenario
+    columns = N_CLASSES * np.arange(n_sc)[:, None] + counted
+    weights = _X_WEIGHTS[:, counted]
 
-    def key_probs(cos_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def key_probs(
+        cos_t: np.ndarray, parity: np.ndarray, sel: slice
+    ) -> tuple[np.ndarray, np.ndarray]:
         n = cos_t.shape[0]
-        none_sum = np.zeros(n)
-        for g, w in none_groups:
-            none_sum += w * (np.exp(-g * cos_t) if g != 0.0 else 1.0)
-        p = p_fixed
-        for c in counted:
-            probs = outcome_probs(table, np.full(n, c), cos_t)
-            p = p + model.priors[c] * (probs[:, :COL_NONE] @ _X_WEIGHTS[:, c])
-        return np.broadcast_to(p, (2, n, len(TALLY_KEYS))), 1.0 - none_sum
+        terms = none_w[sel, :, None] * np.exp(-none_g[sel, :, None] * cos_t)
+        none_sum = np.zeros((terms.shape[0], n))
+        for k in range(terms.shape[1]):
+            none_sum += terms[:, k]
+        cls = columns[sel]
+        probs = outcome_probs(table, cls.reshape(-1, 1), cos_t)[..., :COL_NONE]
+        probs = probs.reshape(*cls.shape, n, COL_NONE)
+        p = np.empty((cls.shape[0], n, len(TALLY_KEYS)))
+        for odd in (0, 1):
+            at = np.flatnonzero(parity == odd)
+            # each burst's own parity picks the weights before the product
+            x = probs[:, :, at] @ weights[odd]
+            acc = p_fixed[sel, odd, None, :]
+            for j, c in enumerate(counted):
+                acc = acc + priors[sel, c, None, None] * x[:, j]
+            p[:, at] = acc
+        return p, 1.0 - none_sum
 
     return key_probs
 
 
-def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+def x_segments(
+    scenario: ScenarioConfig, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Eligible bursts as runs [lo, hi) of constant fringe parity and
-    lock, with the stabilization windows cut out.
+    lock, with the stabilization windows of the scenario's servo_starts
+    cut out.
 
     Runs are cut at every servo start, where the phase walk resets, and
     at every window end. Under fast drift they are also cut every
@@ -475,16 +537,15 @@ def x_segments(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     block = fringe_block_bursts(scenario)
     rate = scenario.interferometer.drift_sigma ** 2 * scenario.params.burst_period
     span = min(n, max(1, int(0.125 / rate))) if rate > 0.0 else n
-    servo = servo_starts(scenario)
     cuts = np.unique(np.concatenate((
         [0, n],
         np.arange(block, n, block),
         np.arange(span, n, span),
-        servo,
-        np.minimum(servo + scenario.servo_bursts_per_event, n),
+        starts,
+        np.minimum(starts + scenario.servo_bursts_per_event, n),
     )))
     lo, hi = cuts[:-1], cuts[1:]
-    keep = ~servo_excluded(scenario, lo)
+    keep = ~servo_excluded(scenario, starts, lo)
     return lo[keep], hi[keep]
 
 
@@ -517,7 +578,11 @@ SHARED_NODES = 1 << 12
 
 
 def _quadrature_nodes(
-    scenario: ScenarioConfig, lo: np.ndarray, hi: np.ndarray, drift: bool
+    scenario: ScenarioConfig,
+    starts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    drift: bool,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Node sets of burst positions, weights, and the fringe parity of
     each position, such that the weighted sum of any smooth per-burst
@@ -530,7 +595,7 @@ def _quadrature_nodes(
     period = scenario.params.burst_period
     n = hi - lo
     whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
-    near_lock = lock_elapsed_s(scenario, lo) < HEAD_BURSTS * period
+    near_lock = lock_elapsed_s(scenario, starts, lo) < HEAD_BURSTS * period
     head = np.where(whole, n, np.where(near_lock, HEAD_BURSTS, 0))
 
     # bursts summed one by one
@@ -544,9 +609,9 @@ def _quadrature_nodes(
     end_w = np.broadcast_to(np.tile(GREGORY, 2), ends.shape)
     interiors = [(a + (b - a) * _GL_T, (b - a) * _GL_W)]
     if drift:
-        tau_a = lock_elapsed_s(scenario, a)
+        tau_a = lock_elapsed_s(scenario, starts, a)
         u_a = np.sqrt(tau_a)
-        u_b = np.sqrt(lock_elapsed_s(scenario, b))
+        u_b = np.sqrt(lock_elapsed_s(scenario, starts, b))
         u = u_a + (u_b - u_a) * _GL_T
         interiors.append(
             (a + (u * u - tau_a) / period, (u_b - u_a) * _GL_W * 2.0 * u / period)
@@ -602,63 +667,88 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     detector are Bernoulli
     (first click wins, dead time covers the rest of the burst, which
     ScenarioConfig enforces), so variances are exact binomial sums.
+
+    This is the one-scenario case of grouped_expected_tallies.
     """
-    model = build_link_model(scenario)
-    slots = scenario.params.symbols_per_burst
+    return grouped_expected_tallies([scenario])[0]
+
+
+def grouped_expected_tallies(
+    scenarios: Sequence[ScenarioConfig],
+) -> list[ExpectedTallies]:
+    """analytic_expected_tallies of each scenario, in one pass over
+    scenarios that differ at most in mu1, mu2, p_mu1 and p_z and have
+    the same fringe_block_bursts, and so share their lock schedule,
+    segments, quadrature nodes and phases. These are built once, from
+    the first scenario; both gate tables are built once for all
+    scenarios (_link_model); and each X-path evaluation covers as many
+    scenarios as keep it within SHARED_NODES scenario-nodes, or one.
+
+    Each result equals the scenario's own call bit for bit: a scenario's
+    sums run over its own terms, in the same order and array shapes.
+    """
+    first = scenarios[0]
+    model = _link_model(scenarios)
+    slots = first.params.symbols_per_burst
     key_probs = _x_key_probs(model)
 
-    lo, hi = x_segments(scenario)
+    starts = servo_starts(first)
+    lo, hi = x_segments(first, starts)
     eligible_total = int((hi - lo).sum())
-    odd = burst_parity(lo, fringe_block_bursts(scenario))
+    odd = burst_parity(lo, fringe_block_bursts(first))
     n_odd = int(((hi - lo) * odd).sum())
-    drift = scenario.interferometer.drift_sigma != 0.0
-    nodes = _quadrature_nodes(scenario, lo, hi, drift)
+    drift = first.interferometer.drift_sigma != 0.0
+    nodes = _quadrature_nodes(first, starts, lo, hi, drift)
     # (positions, weights, parities, spread) of each X-path sum: the
     # means at spread 0 and, under drift, the +/-spread drift sums
     sets = [(*nodes[0], 0.0)] + [(*nodes[-1], s) for s in (1.0, -1.0) if drift]
-    # per set, the sum over eligible bursts of the per-burst click
-    # probability p of each tally key on the X detector, and of p^2
-    x_sums = [np.zeros((2, len(TALLY_KEYS))) for _ in sets]
+    # per set and scenario, the sum over eligible bursts of the per-burst
+    # click probability p of each tally key on the X detector, and of p^2
+    x_sums = np.zeros((len(sets), len(scenarios), 2, len(TALLY_KEYS)))
     for batch in _node_batches([pos.size for pos, *_ in sets]):
         pos = np.concatenate([sets[k][0][sl] for k, sl in batch])
         parity = np.concatenate([sets[k][2][sl] for k, sl in batch])
         spread = np.concatenate(
             [np.full(sl.stop - sl.start, sets[k][3]) for k, sl in batch]
         )
-        p_slot, q_any = key_probs(expected_cos_theta(scenario, pos, spread))
-        # each burst at its own fringe parity
-        p = p_slot[parity, np.arange(pos.size)]
-        p *= duty_factor(q_any, slots)[:, None]  # per burst
-        start = 0
-        for k, sl in batch:
-            rows = p[start : start + sl.stop - sl.start]
-            start += rows.shape[0]
-            sums = sets[k][1][sl] @ np.hstack((rows, rows * rows))
-            x_sums[k] += sums.reshape(2, -1)
-        # free this batch's rows before the next batch is evaluated
-        del p_slot, p, rows
-    x_mean, x_sq = x_sums[0]
-    x_shift = np.zeros(len(TALLY_KEYS))  # half the +/-spread difference
-    if drift:
-        x_shift = (x_sums[1][0] - x_sums[2][0]) / 2.0
+        cos_t = expected_cos_theta(first, starts, pos, spread)
+        step = max(1, SHARED_NODES // pos.size)
+        for a in range(0, len(scenarios), step):
+            p, q_any = key_probs(cos_t, parity, slice(a, a + step))
+            p *= duty_factor(q_any, slots)[..., None]  # per burst
+            for i, p_sc in enumerate(p, start=a):
+                start = 0
+                for k, sl in batch:
+                    rows = p_sc[start : start + sl.stop - sl.start]
+                    start += rows.shape[0]
+                    sums = sets[k][1][sl] @ np.hstack((rows, rows * rows))
+                    x_sums[k, i] += sums.reshape(2, -1)
+            # free these rows before the next evaluation
+            del p, p_sc, rows
 
-    static_z = static_outcome(model.z_table)
-    q_any_z = float(np.dot(model.priors, 1.0 - static_z[:, COL_NONE]))
-    # per burst and fringe parity
-    pz = _class_key_probs(_Z_WEIGHTS, model.priors, static_z) * duty_factor(
-        q_any_z, slots
-    )
+    static_z = static_outcome(model.z_table).reshape(len(scenarios), N_CLASSES, -1)
+    priors = model.priors.reshape(len(scenarios), N_CLASSES)
     per_parity = np.array([eligible_total - n_odd, n_odd])
-    z_mean = per_parity @ pz
-    z_var = per_parity @ (pz * (1.0 - pz))
-
     symbols_sent = eligible_total * slots
-    elapsed = symbols_sent * scenario.params.symbol_period
-    return ExpectedTallies(
-        means=dict(zip(TALLY_KEYS, (z_mean + x_mean).tolist())),
-        variances=dict(zip(TALLY_KEYS, (z_var + x_mean - x_sq).tolist())),
-        drift_variances=dict(zip(TALLY_KEYS, (x_shift**2).tolist())),
-        elapsed_s=elapsed,
-        eligible_bursts=eligible_total,
-        symbols_sent=symbols_sent,
-    )
+    out = []
+    for i, sc in enumerate(scenarios):
+        x_mean, x_sq = x_sums[0, i]
+        x_shift = np.zeros(len(TALLY_KEYS))  # half the +/-spread difference
+        if drift:
+            x_shift = (x_sums[1, i, 0] - x_sums[2, i, 0]) / 2.0
+        q_any_z = float(np.dot(priors[i], 1.0 - static_z[i, :, COL_NONE]))
+        # per burst and fringe parity
+        pz = _class_key_probs(_Z_WEIGHTS, priors[i], static_z[i]) * duty_factor(
+            q_any_z, slots
+        )
+        z_mean = per_parity @ pz
+        z_var = per_parity @ (pz * (1.0 - pz))
+        out.append(ExpectedTallies(
+            means=dict(zip(TALLY_KEYS, (z_mean + x_mean).tolist())),
+            variances=dict(zip(TALLY_KEYS, (z_var + x_mean - x_sq).tolist())),
+            drift_variances=dict(zip(TALLY_KEYS, (x_shift**2).tolist())),
+            elapsed_s=symbols_sent * sc.params.symbol_period,
+            eligible_bursts=eligible_total,
+            symbols_sent=symbols_sent,
+        ))
+    return out

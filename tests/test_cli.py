@@ -299,6 +299,16 @@ class TestSimulate:
         assert key in config_error(result)
         assert isinstance(result.exception, SystemExit)
 
+    def test_non_finite_integer_is_a_config_error(self, runner, tmp_path):
+        # a NaN shift has no bit position: refused at load, not mid-run
+        doc = cli_scenario().to_dict()
+        doc["run"]["shift"] = math.nan
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "shift" in config_error(result)
+
     def test_degenerate_run_exits_3_with_outputs(self, runner, tmp_path):
         # A blind, dark-free receiver clicks on nothing: empty tallies are
         # flagged degenerate, but the artifacts must still land on disk.

@@ -136,6 +136,38 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("run", "fringe_block_x_symbols"),
+            ("run", "servo_bursts_per_event"),
+            ("run", "shift"),
+            ("run", "gap_bits"),
+            ("protocol", "mu1"),
+            ("security", "f_ec"),
+        ],
+    )
+    def test_non_finite_number_is_refused_by_name(self, section, key, value):
+        # each of these once loaded and then crashed an engine mid-run or
+        # gave NaN expectations
+        d = small_scenario().to_dict()
+        d[section][key] = value
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["seed", "shift", "gap_bits", "fringe_block_x_symbols",
+         "servo_bursts_per_event"],
+    )
+    def test_run_counts_must_be_integers(self, key):
+        # a fractional count loaded, then failed in an engine mid-run
+        d = small_scenario().to_dict()
+        d["run"][key] = 1.5
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict(d)
+
     def test_bad_field_type_becomes_config_error(self):
         d = small_scenario().to_dict()
         d["run"]["duration"] = "long"

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the benchmark's tracer patches exists.
 
 __init__.py is exempt: its imports are the package's public names.
 """
@@ -6,11 +7,14 @@ __init__.py is exempt: its imports are the package's public names.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tbqkd"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tbqkd"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +44,21 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def tracer_paths() -> list[str]:
+    """The module attributes perfbench/tracer.py wraps in a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [path for paths in tracer.WRAPPED.values() for path in paths]
+
+
+@pytest.mark.parametrize("path", tracer_paths())
+def test_every_traced_name_resolves(path):
+    # a traced benchmark run patches these by name and stops at the
+    # first one that is gone
+    module, attr = path.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(module), attr, None)), path

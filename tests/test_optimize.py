@@ -7,6 +7,7 @@ import dataclasses
 
 import pytest
 
+import tbqkd.optimize as optimize
 from tbqkd import load_preset
 from tbqkd.errors import EmptyGridError
 from tbqkd.optimize import (
@@ -16,7 +17,7 @@ from tbqkd.optimize import (
     optimize_params,
     write_grid_csv,
 )
-from tbqkd.slotmodel import ExpectedTallies
+from tbqkd.slotmodel import ExpectedTallies, analytic_expected_tallies
 
 from conftest import small_scenario
 
@@ -91,6 +92,78 @@ class TestGridSearch:
             mu1=[0.5, 0.5], mu2=[0.19, 0.15], p_mu1=[0.63], p_z=[0.9]
         )
         assert grid.axes() == ((0.5,), (0.15, 0.19), (0.63,), (0.9,))
+
+
+def drifting_0db(duration: float):
+    """small_scenario at 0 dB with a hot detector, drift and 4-burst
+    servo windows every 20 ms: some grid points have a positive key."""
+    base = small_scenario()
+    return base.replace(
+        duration=duration,
+        detector=dataclasses.replace(base.detector, efficiency=0.8),
+        interferometer=dataclasses.replace(
+            base.interferometer, drift_sigma=0.5, stabilization_interval=0.02
+        ),
+        servo_bursts_per_event=4,
+    ).with_loss(0.0)
+
+
+# two p_z values give two fringe block lengths, so two oracle passes of
+# two points each; mu2 = 0.6 is not below mu1 and is skipped
+GROUPED_GRIDS = {
+    "two_groups": GridSpec(
+        mu1=[0.5], mu2=[0.19, 0.6], p_mu1=[0.5, 0.63], p_z=[0.5, 0.9]
+    ),
+    "one_point": GridSpec(mu1=[0.5], mu2=[0.19], p_mu1=[0.63], p_z=[0.9]),
+}
+
+
+class TestGroupedGrid:
+    """optimize_params evaluates the points that share a lock schedule in
+    one oracle pass; each point must come out as its own call would."""
+
+    @pytest.fixture(scope="class", params=list(GROUPED_GRIDS))
+    def run(self, request):
+        passes = []
+        inner = optimize.grouped_expected_tallies
+
+        def recording(scenarios):
+            out = inner(scenarios)
+            passes.append((list(scenarios), out))
+            return out
+
+        sc = drifting_0db(2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "grouped_expected_tallies", recording)
+            result = optimize_params(sc, GROUPED_GRIDS[request.param])
+        return request.param, sc, result, passes
+
+    def test_one_pass_per_fringe_block_length(self, run):
+        name, _, result, passes = run
+        sizes = {"two_groups": [2, 2], "one_point": [1]}[name]
+        assert [len(scenarios) for scenarios, _ in passes] == sizes
+        for scenarios, _ in passes:
+            assert len({sc.params.p_z for sc in scenarios}) == 1
+        assert len(result.points) == sum(sizes)
+
+    def test_grouped_tallies_equal_single_calls(self, run):
+        # bit for bit: every field of every point
+        _, _, _, passes = run
+        for scenarios, expected in passes:
+            for sc, got in zip(scenarios, expected):
+                assert got == analytic_expected_tallies(sc)
+
+    def test_points_and_best_equal_single_keyrates(self, run):
+        name, sc, result, _ = run
+        for point in result.points:
+            params = dataclasses.replace(
+                sc.params, mu1=point.mu1, mu2=point.mu2, p_mu1=point.p_mu1,
+                p_z=point.p_z,
+            )
+            assert point.skl == expected_keyrate(sc.replace(params=params)).skl
+        assert result.best_report == expected_keyrate(sc.replace(params=result.best))
+        if name == "two_groups":
+            assert result.best_skl > 0
 
 
 @pytest.fixture(scope="module")

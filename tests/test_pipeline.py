@@ -212,7 +212,9 @@ class TestDriftWalk:
         return sc
 
     def test_chunks_reproduce_the_whole_run_walk(self, scenario):
-        chunks = list(pipeline._theta_walk(scenario, np.random.default_rng(5)))
+        chunks = list(pipeline._theta_walk(
+            scenario, servo_starts(scenario), np.random.default_rng(5)
+        ))
         assert [c.size for c in chunks[:-1]] == [CHUNK_BURSTS] * (len(chunks) - 1)
         np.testing.assert_array_equal(
             np.concatenate(chunks),
@@ -222,7 +224,7 @@ class TestDriftWalk:
     def test_batch_tallies_match_the_whole_run_walk(self, scenario, monkeypatch):
         chunked = run_simulation(scenario)
 
-        def whole(sc, rng):
+        def whole(sc, starts, rng):
             walk = whole_run_walk(sc, rng)
             for lo in range(0, walk.size, CHUNK_BURSTS):
                 yield walk[lo:lo + CHUNK_BURSTS]
@@ -405,7 +407,8 @@ def per_slot_run(scenario):
     root = np.random.default_rng(scenario.seed)
     n_chunks = (n_bursts + CHUNK_BURSTS - 1) // CHUNK_BURSTS
     theta_rng, *chunk_rngs = root.spawn(1 + n_chunks)
-    walks = pipeline._theta_walk(scenario, theta_rng)
+    starts = servo_starts(scenario)
+    walks = pipeline._theta_walk(scenario, starts, theta_rng)
 
     cum_priors = np.cumsum(model.priors)
     cum_priors[-1] = 1.0
@@ -417,7 +420,7 @@ def per_slot_run(scenario):
     for chunk, (rng, walk) in enumerate(zip(chunk_rngs, walks)):
         lo = chunk * CHUNK_BURSTS
         idx = np.arange(lo, min(lo + CHUNK_BURSTS, n_bursts), dtype=np.int64)
-        eligible = ~servo_excluded(scenario, idx)
+        eligible = ~servo_excluded(scenario, starts, idx)
         parity = burst_parity(idx, block)
         cos_b = np.cos(math.pi * parity + walk)
 

@@ -146,6 +146,21 @@ class TestOutcomeProbs:
         assert got.shape == (cls.size, COL_NONE + 1)
         np.testing.assert_array_equal(got, row_major_outcome_probs(table, cls, cos_t))
 
+    @pytest.mark.parametrize("preset", ["link-7db", "link-14db"])
+    @pytest.mark.parametrize("detector", [Basis.Z, Basis.X], ids=["Z", "X"])
+    def test_a_class_column_broadcasts_over_the_phases(self, preset, detector):
+        # each class column is gathered once and spread over every phase;
+        # the outcomes equal those of one row per (class, phase) pair
+        table = build_link_model(load_preset(preset)).table(detector)
+        cos_t = phase_grid(300, seed=int(detector))
+        cls = np.arange(N_CLASSES)
+        got = outcome_probs(table, cls[:, None], cos_t)
+        assert got.shape == (N_CLASSES, cos_t.size, COL_NONE + 1)
+        rows = outcome_probs(
+            table, np.repeat(cls, cos_t.size), np.tile(cos_t, N_CLASSES)
+        )
+        np.testing.assert_array_equal(got, rows.reshape(got.shape))
+
     def test_rows_are_distributions(self):
         model = build_link_model(small_scenario())
         rng = np.random.default_rng(5)
@@ -282,6 +297,34 @@ class TestGateTables:
                 else:
                     assert a == b, field.name
 
+    def test_scenarios_built_together_keep_their_own_columns(self):
+        # the grid search builds its points' tables in one pass; each
+        # point's 12 columns are its own table bit for bit
+        base = load_preset("link-7db")
+        points = [
+            base.replace(params=dataclasses.replace(
+                base.params, mu1=mu1, mu2=mu2, p_mu1=p_mu1, p_z=p_z
+            ))
+            for mu1, mu2, p_mu1, p_z in [
+                (0.5, 0.19, 0.63, 0.9), (0.6, 0.1, 0.5, 0.5), (0.3, 0.29, 0.9, 0.2)
+            ]
+        ]
+        together = slotmodel._link_model(points)
+        for i, sc in enumerate(points):
+            alone = build_link_model(sc)
+            cols = slice(N_CLASSES * i, N_CLASSES * (i + 1))
+            np.testing.assert_array_equal(together.priors[cols], alone.priors)
+            for detector in (Basis.Z, Basis.X):
+                for field in dataclasses.fields(GateTable):
+                    a = getattr(together.table(detector), field.name)
+                    b = getattr(alone.table(detector), field.name)
+                    if isinstance(b, np.ndarray):
+                        np.testing.assert_array_equal(
+                            a[..., cols], b, err_msg=field.name
+                        )
+                    else:
+                        assert a == b, field.name
+
     def test_edge_cases_reach_their_edges(self):
         ideal = build_link_model(GATE_TABLE_SCENARIOS["infinite-extinction"]())
         # a zero leak component drops out and the components shift
@@ -364,7 +407,7 @@ class TestBurstBookkeeping:
             servo_bursts_per_event=3,
         )
         idx = np.arange(sc.n_bursts)
-        got = servo_excluded(sc, idx)
+        got = servo_excluded(sc, servo_starts(sc), idx)
         starts = set(servo_starts(sc).tolist())
         want = np.array(
             [any(s <= b < s + 3 for s in starts) for b in idx], dtype=bool
@@ -374,14 +417,14 @@ class TestBurstBookkeeping:
 
     def test_servo_width_zero_excludes_nothing(self):
         sc = small_scenario(servo_bursts_per_event=0)
-        assert not servo_excluded(sc, np.arange(100)).any()
+        assert not servo_excluded(sc, servo_starts(sc), np.arange(100)).any()
 
     def test_lock_elapsed_resets_each_interval(self):
         # 0.096 s is exactly 4000 burst periods, so the reset lands on a
         # burst boundary
         sc = small_scenario(interferometer=ifm(stabilization_interval=0.096))
         period = sc.params.burst_period
-        tau = lock_elapsed_s(sc, np.array([0, 1, 4000, 4001]))
+        tau = lock_elapsed_s(sc, servo_starts(sc), np.array([0, 1, 4000, 4001]))
         assert tau[0] == 0.0
         assert tau[1] == pytest.approx(period)
         assert tau[2] == pytest.approx(0.0, abs=1e-9)
@@ -392,7 +435,8 @@ class TestBurstBookkeeping:
         # a 10 us interval is shorter than the 24 us burst period, so
         # every burst is a servo start and the drift time stays 0
         sc = LOCK_SCENARIOS["interval-10us"]()
-        assert lock_elapsed_s(sc, np.arange(sc.n_bursts)).min() == 0.0
+        tau = lock_elapsed_s(sc, servo_starts(sc), np.arange(sc.n_bursts))
+        assert tau.min() == 0.0
         exp = analytic_expected_tallies(sc)
         assert all(math.isfinite(v) for v in exp.drift_variances.values())
 
@@ -404,13 +448,13 @@ class TestBurstBookkeeping:
         starts = servo_starts(sc)
         period = sc.params.burst_period
         last = 0
-        walks = pipeline._theta_walk(sc, np.random.default_rng(3))
+        walks = pipeline._theta_walk(sc, starts, np.random.default_rng(3))
         for lo, walk in zip(range(0, sc.n_bursts, CHUNK_BURSTS), walks):
             idx = np.arange(lo, lo + walk.size)
             marks = np.where(np.isin(idx, starts), idx, last)
             latest = np.maximum.accumulate(marks)
             last = latest[-1]
-            tau = lock_elapsed_s(sc, idx)
+            tau = lock_elapsed_s(sc, starts, idx)
             np.testing.assert_array_equal(tau, (idx - latest) * period)
             np.testing.assert_array_equal(tau == 0.0, walk == 0.0)
 
@@ -421,14 +465,16 @@ class TestExpectedCosTheta:
         block = fringe_block_bursts(sc)
         idx = np.array([0, block - 1, block, 2 * block])
         np.testing.assert_allclose(
-            expected_cos_theta(sc, idx), [1.0, 1.0, -1.0, 1.0], atol=1e-15
+            expected_cos_theta(sc, servo_starts(sc), idx),
+            [1.0, 1.0, -1.0, 1.0],
+            atol=1e-15,
         )
 
     def test_brownian_damping_since_lock(self):
         # burst 500 sits in the first fringe block (sign +1)
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
         period = sc.params.burst_period
-        got = expected_cos_theta(sc, np.array([0, 500]))
+        got = expected_cos_theta(sc, servo_starts(sc), np.array([0, 500]))
         assert got[0] == pytest.approx(1.0)
         tau = 500 * period
         assert got[1] == pytest.approx(math.exp(-0.5 * 0.25 * tau), rel=1e-12)
@@ -436,16 +482,17 @@ class TestExpectedCosTheta:
     def test_sign_flips_with_fringe_parity(self):
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
         block = fringe_block_bursts(sc)
-        got = expected_cos_theta(sc, np.array([block - 1, block]))
+        got = expected_cos_theta(sc, servo_starts(sc), np.array([block - 1, block]))
         assert got[0] > 0.0 > got[1]
 
     def test_spread_displaces_against_the_lock_sign(self):
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
         idx = np.arange(1, 2500)
         sign = 1.0 - 2.0 * burst_parity(idx, fringe_block_bursts(sc))
-        base = expected_cos_theta(sc, idx)
-        lo = expected_cos_theta(sc, idx, spread=1.0)
-        hi = expected_cos_theta(sc, idx, spread=-1.0)
+        starts = servo_starts(sc)
+        base = expected_cos_theta(sc, starts, idx)
+        lo = expected_cos_theta(sc, starts, idx, spread=1.0)
+        hi = expected_cos_theta(sc, starts, idx, spread=-1.0)
         assert np.all(sign * (base - lo) >= -1e-15)
         assert np.all(sign * (hi - base) >= -1e-15)
         assert np.all(np.abs(lo) <= 1.0) and np.all(np.abs(hi) <= 1.0)
@@ -528,14 +575,16 @@ def per_burst_sums(scenario):
     model = build_link_model(scenario)
     slots = scenario.params.symbols_per_burst
     idx = np.arange(scenario.n_bursts)
-    idx = idx[~servo_excluded(scenario, idx)]
+    starts = servo_starts(scenario)
+    idx = idx[~servo_excluded(scenario, starts, idx)]
     parity = burst_parity(idx, fringe_block_bursts(scenario))
     keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
     sums = {}
     key_probs = _x_key_probs(model)
     for spread in (0.0, 1.0, -1.0):
-        p_slot, q_any = key_probs(expected_cos_theta(scenario, idx, spread))
-        p = p_slot[parity, np.arange(idx.size)] * duty_factor(q_any, slots)[:, None]
+        cos_t = expected_cos_theta(scenario, starts, idx, spread)
+        (p_slot,), (q_any,) = key_probs(cos_t, parity, slice(None))
+        p = p_slot * duty_factor(q_any, slots)[:, None]
         for key in keys:
             rows = p[:, TALLY_KEYS.index(key)]
             sums[key, spread] = math.fsum(rows)
@@ -568,7 +617,8 @@ class TestSegmentQuadrature:
         assert fringe_block_bursts(sc) == 1000
         starts = servo_starts(sc)
         assert len(starts) >= 4 and starts[1] == 998
-        assert servo_excluded(sc, np.array([997, 998, 1000, 1002, 1003])).tolist() == [
+        idx = np.array([997, 998, 1000, 1002, 1003])
+        assert servo_excluded(sc, starts, idx).tolist() == [
             False, True, True, True, False
         ]
 
@@ -576,17 +626,18 @@ class TestSegmentQuadrature:
     @pytest.mark.parametrize("servo", [0, 5])
     def test_segments_partition_the_eligible_bursts(self, drift_sigma, servo):
         sc = segment_scenario(drift_sigma, servo)
-        lo, hi = x_segments(sc)
+        starts = servo_starts(sc)
+        lo, hi = x_segments(sc, starts)
         assert np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])
         covered = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
         idx = np.arange(sc.n_bursts)
-        np.testing.assert_array_equal(covered, idx[~servo_excluded(sc, idx)])
+        np.testing.assert_array_equal(covered, idx[~servo_excluded(sc, starts, idx)])
         block = fringe_block_bursts(sc)
         for a, b in zip(lo, hi):
             run = np.arange(a, b)
             assert np.ptp(burst_parity(run, block)) == 0
             # the lock time never wraps inside a segment
-            assert np.all(np.diff(lock_elapsed_s(sc, run)) > 0.0)
+            assert np.all(np.diff(lock_elapsed_s(sc, starts, run)) > 0.0)
 
     @pytest.mark.parametrize(
         "drift_sigma", [0.0, 0.5, 5.0], ids=["driftless", "drift", "fast-drift"]
@@ -603,7 +654,10 @@ class TestSegmentQuadrature:
         # every node set spans several batches, which several sets share
         monkeypatch.setattr(slotmodel, "NODE_BATCH", 64)
         sc = segment_scenario(drift_sigma, servo)
-        nodes = slotmodel._quadrature_nodes(sc, *x_segments(sc), drift=True)
+        starts = servo_starts(sc)
+        nodes = slotmodel._quadrature_nodes(
+            sc, starts, *x_segments(sc, starts), drift=True
+        )
         assert len(nodes) == 2 and min(pos.size for pos, _, _ in nodes) > 2 * 64
         self.check_per_burst_sum(sc)
 
@@ -626,7 +680,8 @@ class TestSegmentQuadrature:
         sc = small_scenario(duration=0.02, fringe_block_x_symbols=1)
         means, variances, _, eligible = per_burst_sums(sc)
         got = analytic_expected_tallies(sc)
-        assert got.eligible_bursts == eligible == len(x_segments(sc)[0])
+        segments = x_segments(sc, servo_starts(sc))
+        assert got.eligible_bursts == eligible == len(segments[0])
         for key in means:
             assert got.means[key] == pytest.approx(means[key], rel=1e-12, abs=0.0)
 
