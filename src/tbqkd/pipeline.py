@@ -101,7 +101,9 @@ def _theta_walk(
     servo_starts, yielded in CHUNK_BURSTS pieces. The normal draws and
     the running sum carried across pieces are those of one whole-run
     walk, so memory stays flat in duration while the realization does
-    not change."""
+    not change. The runs between resets in a piece are the padded rows
+    of one array, whose cumsum along the rows makes the additions of one
+    cumsum per run; evenly spaced resets keep the padding small."""
     n = scenario.n_bursts
     sigma = scenario.interferometer.drift_sigma
     step = sigma * math.sqrt(scenario.params.burst_period)
@@ -113,11 +115,16 @@ def _theta_walk(
             continue
         steps = rng.normal(0.0, step, hi - lo)
         steps[0] += carry
-        cuts = resets[(resets >= lo) & (resets < hi)] - lo
-        steps[cuts] = 0.0
-        walk = np.empty(hi - lo)
-        for a, b in zip([0, *cuts], [*cuts, hi - lo]):
-            walk[a:b] = np.cumsum(steps[a:b])
+        cuts = resets[np.searchsorted(resets, lo) : np.searchsorted(resets, hi)] - lo
+        if cuts.size:
+            steps[cuts] = 0.0
+            length = np.diff(cuts, prepend=0, append=hi - lo)
+            in_run = np.arange(length.max()) < length[:, None]
+            rows = np.zeros(in_run.shape)
+            rows[in_run] = steps
+            walk = np.cumsum(rows, axis=1)[in_run]
+        else:
+            walk = np.cumsum(steps)
         carry = walk[-1]
         yield walk
 
@@ -284,13 +291,13 @@ def _servo_rows(
 ) -> np.ndarray:
     """Bursts of [lo, hi) that stabilization windows exclude, counted
     from lo, given the run's servo_starts; servo_excluded is evaluated
-    only over the windows that reach into the range."""
-    near = starts[(starts < hi) & (starts + scenario.servo_bursts_per_event > lo)]
+    only over the windows that reach into the range, which a binary
+    search of the sorted starts finds."""
+    width = scenario.servo_bursts_per_event
+    near = starts[slice(*np.searchsorted(starts, (lo - width + 1, hi)))]
     if near.size == 0:
         return near
-    span = np.arange(
-        max(lo, near[0]), min(hi, near[-1] + scenario.servo_bursts_per_event)
-    )
+    span = np.arange(max(lo, near[0]), min(hi, near[-1] + width))
     return span[servo_excluded(scenario, starts, span)] - lo
 
 

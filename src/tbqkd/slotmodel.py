@@ -331,21 +331,22 @@ def fringe_block_bursts(scenario: ScenarioConfig) -> int:
 
 
 def servo_starts(scenario: ScenarioConfig) -> np.ndarray:
-    """First burst index of each stabilization window: the lock schedule
-    of every engine and the oracle. Each engine run and each oracle pass
-    builds it once and passes it to the functions below."""
+    """First burst index of each stabilization window, in increasing
+    order: the lock schedule of every engine and the oracle. Lock k, for
+    k < ceil(duration / interval), falls on burst
+    rint(k * interval / burst_period). No array is longer than the run."""
     period = scenario.params.burst_period
-    n_bursts = scenario.n_bursts
     interval = scenario.interferometer.stabilization_interval
     n_events = max(1, math.ceil(scenario.duration / interval))
-    starts = np.rint(np.arange(n_events) * interval / period).astype(np.int64)
+    n_bursts = scenario.n_bursts
+
+    if interval < period:
+        # locks less than a burst apart: every burst up to the last lock
+        return np.arange(min(n_bursts, round((n_events - 1) * interval / period) + 1))
+    # lock k falls on burst k or later
+    k = np.arange(min(n_events, n_bursts))
+    starts = np.rint(k * interval / period).astype(np.int64)
     return starts[starts < n_bursts]
-
-
-def _last_start(starts: np.ndarray, burst_idx: np.ndarray) -> np.ndarray:
-    """The latest of the servo starts at or before each burst; the first
-    start is burst 0."""
-    return starts[np.searchsorted(starts, burst_idx, side="right") - 1]
 
 
 def servo_excluded(
@@ -357,46 +358,30 @@ def servo_excluded(
     Windows never end before an earlier one does, so the window of the
     latest start at or before a burst decides whether one covers it."""
     idx = np.asarray(burst_idx, dtype=np.int64)
-    last = _last_start(starts, idx)
+    last = starts[np.searchsorted(starts, idx, side="right") - 1]
     return idx < last + scenario.servo_bursts_per_event
-
-
-def lock_elapsed_s(
-    scenario: ScenarioConfig, starts: np.ndarray, burst_pos: np.ndarray
-) -> np.ndarray:
-    """Seconds of free phase drift since the last lock, which is the
-    latest of the scenario's servo_starts: the burst where both engines
-    reset the walk.
-
-    `burst_pos` may be fractional (a quadrature node); the lock is then
-    that of the nearest burst, and the time runs on linearly.
-    """
-    pos = np.asarray(burst_pos, dtype=np.float64)
-    last = _last_start(starts, np.rint(pos))
-    return (pos - last) * scenario.params.burst_period
 
 
 def expected_cos_theta(
     scenario: ScenarioConfig,
-    starts: np.ndarray,
-    burst_pos: np.ndarray,
+    offset: np.ndarray,
+    parity: np.ndarray,
     spread: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """E[cos(theta_b)] per burst under the locked random-walk model,
-    given the scenario's servo_starts.
+    """E[cos(theta)] of bursts at these lock offsets (bursts since the
+    last servo start, fractional at quadrature nodes) and fringe
+    parities, under the locked random-walk model.
 
     After each stabilization the servo holds theta at the current fringe
     block's lock point (0 or pi); drift then accumulates as a Brownian
     walk, so E[cos(lock + W_t)] = (+/-1) * exp(-drift_sigma^2 t / 2).
-    `spread`, one value or one per position, shifts the walk coherently
+    `spread`, one value or one per burst, shifts the walk coherently
     by that many std devs; the analytic variance bound uses it as a
-    finite difference. Fractional positions take the fringe parity and
-    lock of the nearest burst, as in lock_elapsed_s.
+    finite difference.
     """
-    pos = np.asarray(burst_pos, dtype=np.float64)
     sigma = scenario.interferometer.drift_sigma
-    tau = lock_elapsed_s(scenario, starts, pos)
-    sign = 1.0 - 2.0 * burst_parity(np.rint(pos), fringe_block_bursts(scenario))
+    tau = np.asarray(offset, dtype=np.float64) * scenario.params.burst_period
+    sign = 1.0 - 2.0 * np.asarray(parity)
     damp = np.exp(-0.5 * sigma * sigma * tau)
     shift = spread * sigma * np.sqrt(tau)
     # |cos(t + d) - cos t| <= |d|: apply the shift as a worst-case
@@ -521,11 +506,13 @@ def _x_key_probs(
 
 
 def x_segments(
-    scenario: ScenarioConfig, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eligible bursts as runs [lo, hi) of constant fringe parity and
-    lock, with the stabilization windows of the scenario's servo_starts
-    cut out.
+    scenario: ScenarioConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eligible bursts as runs of constant fringe parity and lock, with
+    the stabilization windows of the scenario's servo_starts cut out, as
+    run shapes (lo, n, odd, count): the lock offset of the first burst,
+    the length, the fringe parity, and the number of runs of the shape.
+    Each shape comes once, in the order of its first run.
 
     Runs are cut at every servo start, where the phase walk resets, and
     at every window end. Under fast drift they are also cut every
@@ -534,28 +521,39 @@ def x_segments(
     exp(-sigma^2 tau / 2) falls by at most e^-1/16, within one run.
     """
     n = scenario.n_bursts
+    starts = servo_starts(scenario)
     block = fringe_block_bursts(scenario)
     rate = scenario.interferometer.drift_sigma ** 2 * scenario.params.burst_period
     span = min(n, max(1, int(0.125 / rate))) if rate > 0.0 else n
-    cuts = np.unique(np.concatenate((
+    cuts = np.sort(np.concatenate((
         [0, n],
         np.arange(block, n, block),
         np.arange(span, n, span),
         starts,
         np.minimum(starts + scenario.servo_bursts_per_event, n),
     )))
-    lo, hi = cuts[:-1], cuts[1:]
-    keep = ~servo_excluded(scenario, starts, lo)
-    return lo[keep], hi[keep]
+    first, length = cuts[:-1], np.diff(cuts)
+    lo = first - starts[np.searchsorted(starts, first, side="right") - 1]
+    # runs past their window; a repeated cut makes an empty run
+    keep = (lo >= scenario.servo_bursts_per_event) & (length > 0)
+    shape = np.stack((lo[keep], length[keep], burst_parity(first[keep], block)))
+    # a stable sort keeps the runs of each shape in run order
+    order = np.lexsort(shape)
+    ranked = shape[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    count = np.diff(np.append(np.flatnonzero(new), order.size))
+    by_run = np.argsort(order[new])
+    return (*ranked[:, new][:, by_run], count[by_run])
 
 
-# Quadrature of a per-burst sum over one segment [lo, hi): Gauss-Legendre
-# nodes integrate over [lo, hi - 1], and Gregory's end weights on the
-# first and last four bursts turn that integral into the sum over the
-# integer points. Near a lock the drift bound grows like sqrt(tau), which
-# no end correction follows, so the first HEAD_BURSTS bursts after a
-# lock are summed one by one; so is every segment too short to hold a
-# head and both ends.
+# Quadrature of a per-burst sum over one run of lock offsets [lo, lo + n):
+# Gauss-Legendre nodes integrate over [lo, lo + n - 1], and Gregory's end
+# weights on the first and last four bursts turn that integral into the
+# sum over the integer points. Near a lock the drift bound grows like
+# sqrt(tau), which no end correction follows, so the first HEAD_BURSTS
+# bursts after a lock are summed one by one; so is every run too short
+# to hold a head and both ends.
 
 # Four-point Gauss-Legendre nodes and weights, moved from [-1, 1] to [0, 1].
 _GL_X = math.sqrt(6.0 / 5.0) * 2.0 / 7.0
@@ -579,55 +577,53 @@ SHARED_NODES = 1 << 12
 
 def _quadrature_nodes(
     scenario: ScenarioConfig,
-    starts: np.ndarray,
     lo: np.ndarray,
-    hi: np.ndarray,
+    n: np.ndarray,
+    odd: np.ndarray,
+    count: np.ndarray,
     drift: bool,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Node sets of burst positions, weights, and the fringe parity of
-    each position, such that the weighted sum of any smooth per-burst
-    function f equals sum(f(b) for b in each segment [lo, hi)) to
-    rounding. The first set integrates each interior in burst position.
-    With drift, a second set integrates it in u = sqrt(tau)
-    (dtau = 2u du), so that f may also carry sqrt(tau) terms; the two
-    share their bursts summed one by one, their end nodes and their
-    parities."""
+    """Node sets of lock offsets, weights, and the fringe parity of each
+    offset, such that the weighted sum of any smooth per-burst function
+    f(offset, parity) equals the sum of f over the x_segments shapes
+    (lo, n, odd, count), each run of a shape counted, to rounding. The
+    first set integrates each interior in lock offset. With drift, a
+    second set integrates it in u = sqrt(tau) (dtau = 2u du), so that f
+    may also carry sqrt(tau) terms; the two share their bursts summed
+    one by one, their end nodes and their parities."""
     period = scenario.params.burst_period
-    n = hi - lo
     whole = n <= HEAD_BURSTS + 2 * len(GREGORY)
-    near_lock = lock_elapsed_s(scenario, starts, lo) < HEAD_BURSTS * period
-    head = np.where(whole, n, np.where(near_lock, HEAD_BURSTS, 0))
+    head = np.where(whole, n, np.where(lo < HEAD_BURSTS, HEAD_BURSTS, 0))
 
     # bursts summed one by one
-    offset = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
-    exact = np.repeat(lo, head) + offset
+    exact = np.repeat(lo - np.cumsum(head) + head, head) + np.arange(head.sum())
 
     a = (lo + head)[~whole][:, None]
-    b = (hi - 1)[~whole][:, None]
+    b = (lo + n - 1)[~whole][:, None]
     j = np.arange(len(GREGORY))
     ends = np.concatenate((a + j, b - j), axis=1)
     end_w = np.broadcast_to(np.tile(GREGORY, 2), ends.shape)
     interiors = [(a + (b - a) * _GL_T, (b - a) * _GL_W)]
     if drift:
-        tau_a = lock_elapsed_s(scenario, starts, a)
+        tau_a = a * period
         u_a = np.sqrt(tau_a)
-        u_b = np.sqrt(lock_elapsed_s(scenario, starts, b))
+        u_b = np.sqrt(b * period)
         u = u_a + (u_b - u_a) * _GL_T
         interiors.append(
             (a + (u * u - tau_a) / period, (u_b - u_a) * _GL_W * 2.0 * u / period)
         )
 
-    odd = burst_parity(lo, fringe_block_bursts(scenario))
-    parity = np.concatenate((
-        np.repeat(odd, head),
-        np.repeat(odd[~whole], ends.shape[1]),
-        np.repeat(odd[~whole], len(_GL_T)),
+    shape_of = np.concatenate((
+        np.repeat(np.arange(lo.size), head),
+        np.repeat(np.flatnonzero(~whole), ends.shape[1]),
+        np.repeat(np.flatnonzero(~whole), len(_GL_T)),
     ))
     return [
         (
             np.concatenate((exact, ends.ravel(), inner.ravel())),
-            np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel())),
-            parity,
+            np.concatenate((np.ones(exact.size), end_w.ravel(), inner_w.ravel()))
+            * count[shape_of],
+            odd[shape_of],
         )
         for inner, inner_w in interiors
     ]
@@ -660,13 +656,13 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     form per fringe parity. The X path depends on the burst only through
     the expected locked-drift phase, which is smooth within each
     x_segments run, so its per-burst sums are taken by quadrature over
-    each run (_quadrature_nodes). The drift-bound sums carry
-    sigma * sqrt(tau), which is not smooth at the lock, so they are
-    integrated in u = sqrt(tau) instead. The node sets of the X-path
-    sums share their evaluations (_node_batches). Counts per burst and
-    detector are Bernoulli
-    (first click wins, dead time covers the rest of the burst, which
-    ScenarioConfig enforces), so variances are exact binomial sums.
+    each run shape, weighted by its number of runs (_quadrature_nodes).
+    The drift-bound sums carry sigma * sqrt(tau), which is not smooth at
+    the lock, so they are integrated in u = sqrt(tau) instead. The node
+    sets of the X-path sums share their evaluations (_node_batches).
+    Counts per burst and detector are Bernoulli (first click wins, dead
+    time covers the rest of the burst, which ScenarioConfig enforces),
+    so variances are exact binomial sums.
 
     This is the one-scenario case of grouped_expected_tallies.
     """
@@ -692,27 +688,26 @@ def grouped_expected_tallies(
     slots = first.params.symbols_per_burst
     key_probs = _x_key_probs(model)
 
-    starts = servo_starts(first)
-    lo, hi = x_segments(first, starts)
-    eligible_total = int((hi - lo).sum())
-    odd = burst_parity(lo, fringe_block_bursts(first))
-    n_odd = int(((hi - lo) * odd).sum())
+    lo, n, odd, count = x_segments(first)
+    per_parity = np.bincount(odd, weights=count * n, minlength=2).astype(np.int64)
+    eligible_total = int(per_parity.sum())
     drift = first.interferometer.drift_sigma != 0.0
-    nodes = _quadrature_nodes(first, starts, lo, hi, drift)
-    # (positions, weights, parities, spread) of each X-path sum: the
+    nodes = _quadrature_nodes(first, lo, n, odd, count, drift)
+    # (offsets, weights, parities, spread) of each X-path sum: the
     # means at spread 0 and, under drift, the +/-spread drift sums
     sets = [(*nodes[0], 0.0)] + [(*nodes[-1], s) for s in (1.0, -1.0) if drift]
     # per set and scenario, the sum over eligible bursts of the per-burst
-    # click probability p of each tally key on the X detector, and of p^2
-    x_sums = np.zeros((len(sets), len(scenarios), 2, len(TALLY_KEYS)))
-    for batch in _node_batches([pos.size for pos, *_ in sets]):
-        pos = np.concatenate([sets[k][0][sl] for k, sl in batch])
+    # click probability p of each tally key on the X detector, and of p^2;
+    # the drift sums stay 0 without drift
+    x_sums = np.zeros((3, len(scenarios), 2, len(TALLY_KEYS)))
+    for batch in _node_batches([offset.size for offset, *_ in sets]):
+        offset = np.concatenate([sets[k][0][sl] for k, sl in batch])
         parity = np.concatenate([sets[k][2][sl] for k, sl in batch])
         spread = np.concatenate(
             [np.full(sl.stop - sl.start, sets[k][3]) for k, sl in batch]
         )
-        cos_t = expected_cos_theta(first, starts, pos, spread)
-        step = max(1, SHARED_NODES // pos.size)
+        cos_t = expected_cos_theta(first, offset, parity, spread)
+        step = max(1, SHARED_NODES // offset.size)
         for a in range(0, len(scenarios), step):
             p, q_any = key_probs(cos_t, parity, slice(a, a + step))
             p *= duty_factor(q_any, slots)[..., None]  # per burst
@@ -728,14 +723,11 @@ def grouped_expected_tallies(
 
     static_z = static_outcome(model.z_table).reshape(len(scenarios), N_CLASSES, -1)
     priors = model.priors.reshape(len(scenarios), N_CLASSES)
-    per_parity = np.array([eligible_total - n_odd, n_odd])
     symbols_sent = eligible_total * slots
     out = []
     for i, sc in enumerate(scenarios):
         x_mean, x_sq = x_sums[0, i]
-        x_shift = np.zeros(len(TALLY_KEYS))  # half the +/-spread difference
-        if drift:
-            x_shift = (x_sums[1, i, 0] - x_sums[2, i, 0]) / 2.0
+        x_shift = (x_sums[1, i, 0] - x_sums[2, i, 0]) / 2.0  # half the difference
         q_any_z = float(np.dot(priors[i], 1.0 - static_z[i, :, COL_NONE]))
         # per burst and fringe parity
         pz = _class_key_probs(_Z_WEIGHTS, priors[i], static_z[i]) * duty_factor(

@@ -105,6 +105,19 @@ class TestBatchEngine:
         assert outcome.eligible_bursts == sc.n_bursts - lost
         assert outcome.symbols_sent == outcome.eligible_bursts * 20
 
+    def test_servo_rows_match_the_excluded_bursts(self):
+        # windows of 3 bursts every 10.4 bursts, against every range start
+        ifm = dataclasses.replace(
+            small_scenario().interferometer, stabilization_interval=10.4 * 24e-6
+        )
+        sc = small_scenario(duration=0.01, interferometer=ifm, servo_bursts_per_event=3)
+        starts = servo_starts(sc)
+        for lo in range(sc.n_bursts):
+            hi = min(lo + 17, sc.n_bursts)
+            want = np.flatnonzero(servo_excluded(sc, starts, np.arange(lo, hi)))
+            got = pipeline._servo_rows(sc, starts, lo, hi)
+            np.testing.assert_array_equal(got, want)
+
 
 @pytest.fixture(scope="module")
 def ref_run():
@@ -212,6 +225,20 @@ class TestDriftWalk:
         return sc
 
     def test_chunks_reproduce_the_whole_run_walk(self, scenario):
+        self.check_whole_run_walk(scenario)
+
+    @pytest.mark.parametrize("interval", [2.5 * 24e-6, 1e-5], ids=["2.5", "0.42"])
+    def test_dense_resets_reproduce_the_whole_run_walk(self, scenario, interval):
+        # a lock every 2.5 bursts makes runs of 2 and 3 bursts; one every
+        # 0.42 bursts (10 us) makes every burst a servo start
+        self.check_whole_run_walk(scenario.replace(
+            interferometer=dataclasses.replace(
+                scenario.interferometer, stabilization_interval=interval
+            )
+        ))
+
+    @staticmethod
+    def check_whole_run_walk(scenario):
         chunks = list(pipeline._theta_walk(
             scenario, servo_starts(scenario), np.random.default_rng(5)
         ))

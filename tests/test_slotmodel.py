@@ -44,7 +44,6 @@ from tbqkd.slotmodel import (
     duty_factor,
     expected_cos_theta,
     fringe_block_bursts,
-    lock_elapsed_s,
     outcome_probs,
     servo_excluded,
     servo_starts,
@@ -419,80 +418,108 @@ class TestBurstBookkeeping:
         sc = small_scenario(servo_bursts_per_event=0)
         assert not servo_excluded(sc, servo_starts(sc), np.arange(100)).any()
 
-    def test_lock_elapsed_resets_each_interval(self):
-        # 0.096 s is exactly 4000 burst periods, so the reset lands on a
-        # burst boundary
-        sc = small_scenario(interferometer=ifm(stabilization_interval=0.096))
-        period = sc.params.burst_period
-        tau = lock_elapsed_s(sc, servo_starts(sc), np.array([0, 1, 4000, 4001]))
-        assert tau[0] == 0.0
-        assert tau[1] == pytest.approx(period)
-        assert tau[2] == pytest.approx(0.0, abs=1e-9)
-        assert tau[3] == pytest.approx(period, rel=1e-6)
-
-
-    def test_lock_elapsed_never_negative(self):
-        # a 10 us interval is shorter than the 24 us burst period, so
-        # every burst is a servo start and the drift time stays 0
-        sc = LOCK_SCENARIOS["interval-10us"]()
-        tau = lock_elapsed_s(sc, servo_starts(sc), np.arange(sc.n_bursts))
-        assert tau.min() == 0.0
-        exp = analytic_expected_tallies(sc)
-        assert all(math.isfinite(v) for v in exp.drift_variances.values())
+    @pytest.mark.parametrize(
+        "interval",
+        # 23.9 us is just short of the burst period; 0.0499968 s / 2083.1
+        # just exceeds it yet gives more locks (2084) than bursts (2083)
+        [1e-6, 1e-5, 23.9e-6, 0.0499968 / 2083.1],
+        ids=["1us", "10us", "23.9us", "over-a-period"],
+    )
+    def test_servo_starts_of_intervals_near_or_below_a_burst(self, interval):
+        sc = small_scenario(
+            duration=0.0499968, interferometer=ifm(stabilization_interval=interval)
+        )
+        n_events = math.ceil(sc.duration / interval)
+        every = np.rint(np.arange(n_events) * interval / sc.params.burst_period)
+        every = every.astype(np.int64)
+        got = servo_starts(sc)
+        assert got.size <= sc.n_bursts
+        np.testing.assert_array_equal(got, np.unique(every[every < sc.n_bursts]))
 
     @pytest.mark.parametrize("case", sorted(LOCK_SCENARIOS))
-    def test_lock_elapsed_counts_from_the_latest_servo_start(self, case):
-        # the oracle's drift clock restarts exactly where the engines'
-        # walk resets to 0, chunk by chunk as _theta_walk yields it
+    def test_shapes_count_the_bursts_at_each_lock_offset(self, case):
+        # the oracle's lock offsets restart exactly where the engines'
+        # walk resets to 0, chunk by chunk as _theta_walk yields it; at a
+        # 10 us interval, shorter than the 24 us burst period, every
+        # burst is a servo start and sits at offset 0
         sc = LOCK_SCENARIOS[case]()
         starts = servo_starts(sc)
-        period = sc.params.burst_period
+        block = fringe_block_bursts(sc)
+        walk_runs = []
         last = 0
         walks = pipeline._theta_walk(sc, starts, np.random.default_rng(3))
         for lo, walk in zip(range(0, sc.n_bursts, CHUNK_BURSTS), walks):
             idx = np.arange(lo, lo + walk.size)
-            marks = np.where(np.isin(idx, starts), idx, last)
-            latest = np.maximum.accumulate(marks)
+            latest = np.maximum.accumulate(np.where(walk == 0.0, idx, last))
             last = latest[-1]
-            tau = lock_elapsed_s(sc, starts, idx)
-            np.testing.assert_array_equal(tau, (idx - latest) * period)
-            np.testing.assert_array_equal(tau == 0.0, walk == 0.0)
+            eligible = ~servo_excluded(sc, starts, idx)
+            offset = (idx - latest)[eligible]
+            walk_runs.append(
+                offset_runs(offset, burst_parity(idx[eligible], block))
+            )
+        runs = [np.concatenate(v) for v in zip(*walk_runs)]
+        shapes = x_segments(sc)
+        np.testing.assert_array_equal(
+            offset_histogram(*shapes), offset_histogram(*runs)
+        )
+        exp = analytic_expected_tallies(sc)
+        assert exp.eligible_bursts == runs[1].sum()
+        assert all(math.isfinite(v) for v in exp.drift_variances.values())
+
+
+def offset_runs(offset, parity):
+    """Bursts given by lock offset and fringe parity, in burst order, as
+    runs of consecutive offsets at one parity: (lo, n, odd, count), the
+    count being 1."""
+    new = np.ones(offset.size, dtype=bool)
+    new[1:] = (np.diff(offset) != 1) | (np.diff(parity) != 0)
+    first = np.flatnonzero(new)
+    n = np.diff(np.append(first, offset.size))
+    return offset[first], n, parity[first], np.ones(first.size, np.int64)
+
+
+def offset_histogram(lo, n, odd, count):
+    """The number of bursts at each (fringe parity, lock offset) of runs
+    (lo, n, odd, count), as the steps of a step function in the offset:
+    rows (parity, offset, change), sorted, without zero changes."""
+    at = np.concatenate((lo, lo + n)) * 2 + np.concatenate((odd, odd))
+    keys, where = np.unique(at, return_inverse=True)
+    change = np.bincount(where, weights=np.concatenate((count, -count)))
+    keep = change != 0
+    return np.stack((keys[keep] % 2, keys[keep] // 2, change[keep]))
 
 
 class TestExpectedCosTheta:
     def test_driftless_gives_pure_parity_signs(self):
         sc = small_scenario()
-        block = fringe_block_bursts(sc)
-        idx = np.array([0, block - 1, block, 2 * block])
         np.testing.assert_allclose(
-            expected_cos_theta(sc, servo_starts(sc), idx),
+            expected_cos_theta(sc, np.array([0, 7, 7, 900]), np.array([0, 0, 1, 0])),
             [1.0, 1.0, -1.0, 1.0],
             atol=1e-15,
         )
 
     def test_brownian_damping_since_lock(self):
-        # burst 500 sits in the first fringe block (sign +1)
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
         period = sc.params.burst_period
-        got = expected_cos_theta(sc, servo_starts(sc), np.array([0, 500]))
+        got = expected_cos_theta(sc, np.array([0, 500]), np.zeros(2, np.int64))
         assert got[0] == pytest.approx(1.0)
         tau = 500 * period
         assert got[1] == pytest.approx(math.exp(-0.5 * 0.25 * tau), rel=1e-12)
 
     def test_sign_flips_with_fringe_parity(self):
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
-        block = fringe_block_bursts(sc)
-        got = expected_cos_theta(sc, servo_starts(sc), np.array([block - 1, block]))
+        got = expected_cos_theta(sc, np.array([700, 700]), np.array([0, 1]))
         assert got[0] > 0.0 > got[1]
+        assert got[0] == -got[1]
 
     def test_spread_displaces_against_the_lock_sign(self):
         sc = small_scenario(interferometer=ifm(drift_sigma=0.5))
         idx = np.arange(1, 2500)
-        sign = 1.0 - 2.0 * burst_parity(idx, fringe_block_bursts(sc))
-        starts = servo_starts(sc)
-        base = expected_cos_theta(sc, starts, idx)
-        lo = expected_cos_theta(sc, starts, idx, spread=1.0)
-        hi = expected_cos_theta(sc, starts, idx, spread=-1.0)
+        parity = burst_parity(idx, fringe_block_bursts(sc))
+        sign = 1.0 - 2.0 * parity
+        base = expected_cos_theta(sc, idx, parity)
+        lo = expected_cos_theta(sc, idx, parity, spread=1.0)
+        hi = expected_cos_theta(sc, idx, parity, spread=-1.0)
         assert np.all(sign * (base - lo) >= -1e-15)
         assert np.all(sign * (hi - base) >= -1e-15)
         assert np.all(np.abs(lo) <= 1.0) and np.all(np.abs(hi) <= 1.0)
@@ -576,13 +603,15 @@ def per_burst_sums(scenario):
     slots = scenario.params.symbols_per_burst
     idx = np.arange(scenario.n_bursts)
     starts = servo_starts(scenario)
-    idx = idx[~servo_excluded(scenario, starts, idx)]
+    lock = np.maximum.accumulate(np.where(np.isin(idx, starts), idx, 0))
+    eligible = ~servo_excluded(scenario, starts, idx)
+    idx, offset = idx[eligible], (idx - lock)[eligible]
     parity = burst_parity(idx, fringe_block_bursts(scenario))
     keys = ("n_x_mu1", "m_x_mu1", "n_x_mu2", "m_x_mu2")
     sums = {}
     key_probs = _x_key_probs(model)
     for spread in (0.0, 1.0, -1.0):
-        cos_t = expected_cos_theta(scenario, starts, idx, spread)
+        cos_t = expected_cos_theta(scenario, offset, parity, spread)
         (p_slot,), (q_any,) = key_probs(cos_t, parity, slice(None))
         p = p_slot * duty_factor(q_any, slots)[:, None]
         for key in keys:
@@ -626,18 +655,34 @@ class TestSegmentQuadrature:
     @pytest.mark.parametrize("servo", [0, 5])
     def test_segments_partition_the_eligible_bursts(self, drift_sigma, servo):
         sc = segment_scenario(drift_sigma, servo)
-        starts = servo_starts(sc)
-        lo, hi = x_segments(sc, starts)
-        assert np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])
-        covered = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        lo, n, odd, count = x_segments(sc)
+        assert np.all(n > 0) and np.all(count > 0)
+        assert len(set(zip(lo, n, odd))) == lo.size
         idx = np.arange(sc.n_bursts)
-        np.testing.assert_array_equal(covered, idx[~servo_excluded(sc, starts, idx)])
-        block = fringe_block_bursts(sc)
-        for a, b in zip(lo, hi):
-            run = np.arange(a, b)
-            assert np.ptp(burst_parity(run, block)) == 0
-            # the lock time never wraps inside a segment
-            assert np.all(np.diff(lock_elapsed_s(sc, starts, run)) > 0.0)
+        starts = servo_starts(sc)
+        eligible = ~servo_excluded(sc, starts, idx)
+        assert (count * n).sum() == eligible.sum()
+        lock = np.maximum.accumulate(np.where(np.isin(idx, starts), idx, 0))
+        runs = offset_runs(
+            (idx - lock)[eligible], burst_parity(idx[eligible], fringe_block_bursts(sc))
+        )
+        np.testing.assert_array_equal(
+            offset_histogram(lo, n, odd, count), offset_histogram(*runs)
+        )
+
+    def test_short_intervals_repeat_a_few_shapes(self):
+        # locks every 41.67 bursts cut 300 s into 300000 runs of 41 or 42
+        # bursts, each starting at a lock
+        sc = load_preset("link-7db")
+        sc = sc.replace(
+            servo_bursts_per_event=0,
+            interferometer=dataclasses.replace(
+                sc.interferometer, stabilization_interval=1e-3
+            ),
+        )
+        lo, n, odd, count = x_segments(sc)
+        assert lo.size <= 8
+        assert (count * n).sum() == sc.n_bursts
 
     @pytest.mark.parametrize(
         "drift_sigma", [0.0, 0.5, 5.0], ids=["driftless", "drift", "fast-drift"]
@@ -652,13 +697,10 @@ class TestSegmentQuadrature:
         self, drift_sigma, servo, monkeypatch
     ):
         # every node set spans several batches, which several sets share
-        monkeypatch.setattr(slotmodel, "NODE_BATCH", 64)
+        monkeypatch.setattr(slotmodel, "NODE_BATCH", 32)
         sc = segment_scenario(drift_sigma, servo)
-        starts = servo_starts(sc)
-        nodes = slotmodel._quadrature_nodes(
-            sc, starts, *x_segments(sc, starts), drift=True
-        )
-        assert len(nodes) == 2 and min(pos.size for pos, _, _ in nodes) > 2 * 64
+        nodes = slotmodel._quadrature_nodes(sc, *x_segments(sc), drift=True)
+        assert len(nodes) == 2 and min(pos.size for pos, _, _ in nodes) > 2 * 32
         self.check_per_burst_sum(sc)
 
     @staticmethod
@@ -680,8 +722,9 @@ class TestSegmentQuadrature:
         sc = small_scenario(duration=0.02, fringe_block_x_symbols=1)
         means, variances, _, eligible = per_burst_sums(sc)
         got = analytic_expected_tallies(sc)
-        segments = x_segments(sc, servo_starts(sc))
-        assert got.eligible_bursts == eligible == len(segments[0])
+        _, n, _, count = x_segments(sc)
+        assert np.all(n == 1)
+        assert got.eligible_bursts == eligible == count.sum()
         for key in means:
             assert got.means[key] == pytest.approx(means[key], rel=1e-12, abs=0.0)
 
