@@ -436,12 +436,40 @@ class TestBurstBookkeeping:
         assert got.size <= sc.n_bursts
         np.testing.assert_array_equal(got, np.unique(every[every < sc.n_bursts]))
 
+    def test_lock_elapsed_resets_each_interval(self):
+        # 0.096 s is exactly 4000 burst periods, so the lock offset
+        # restarts at 0 on a burst boundary; the 0.5 s run ends 833
+        # bursts into its sixth lock
+        sc = small_scenario(interferometer=ifm(stabilization_interval=0.096))
+        lo, n, _, count = x_segments(sc)
+        offset = np.arange(4001)[:, None]
+        at = ((lo <= offset) & (offset < lo + n)) @ count
+        assert sc.n_bursts == 20833
+        assert np.all(at[:833] == 6)
+        assert np.all(at[833:4000] == 5)
+        assert at[4000] == 0
+        assert (count * n).sum() == sc.n_bursts
+
+    def test_lock_elapsed_never_negative(self):
+        # a 10 us interval is shorter than the 24 us burst period, so
+        # every burst is a servo start and the drift time stays 0
+        sc = LOCK_SCENARIOS["interval-10us"]()
+        lo, n, odd, count = x_segments(sc)
+        np.testing.assert_array_equal(lo, 0)
+        np.testing.assert_array_equal(n, 1)
+        assert count.sum() == sc.n_bursts
+        np.testing.assert_array_equal(
+            expected_cos_theta(sc, lo, odd), 1.0 - 2.0 * odd
+        )
+        exp = analytic_expected_tallies(sc)
+        assert all(math.isfinite(v) for v in exp.drift_variances.values())
+
     @pytest.mark.parametrize("case", sorted(LOCK_SCENARIOS))
-    def test_shapes_count_the_bursts_at_each_lock_offset(self, case):
-        # the oracle's lock offsets restart exactly where the engines'
-        # walk resets to 0, chunk by chunk as _theta_walk yields it; at a
-        # 10 us interval, shorter than the 24 us burst period, every
-        # burst is a servo start and sits at offset 0
+    def test_lock_elapsed_counts_from_the_latest_servo_start(self, case):
+        # the oracle's lock offsets (bursts of drift since the last lock)
+        # restart exactly where the engines' walk resets to 0, chunk by
+        # chunk as _theta_walk yields it: the shapes count the bursts at
+        # each (lock offset, parity) that the walk's resets give
         sc = LOCK_SCENARIOS[case]()
         starts = servo_starts(sc)
         block = fringe_block_bursts(sc)
