@@ -7,6 +7,7 @@ stderr), 3 degenerate statistics (outputs still written, skl = 0).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import NoReturn
 import click
 import yaml
 
+from . import __version__
 from .config import (
     SCHEMA_VERSION,
     ScenarioConfig,
@@ -95,6 +97,12 @@ def _report_payload(
 ) -> dict[str, object]:
     stats = outcome.sift_stats
     meta: dict[str, object] = {
+        # the run's identity: the package version and a digest of the
+        # scenario as run, overrides included
+        "version": __version__,
+        "config_sha256": hashlib.sha256(
+            json.dumps(cfg.to_dict(), sort_keys=True).encode()
+        ).hexdigest(),
         "seed": cfg.seed,
         "duration_s": cfg.duration,
         "symbols_sent": outcome.symbols_sent,

@@ -20,7 +20,7 @@ dark_rate*jitter/gate ~ 1e-8, far below any statistical resolution here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,17 +458,13 @@ def _x_key_probs(
     priors = model.priors.reshape(-1, N_CLASSES)
     n_sc = priors.shape[0]
     k_fac, eta_b = (v.reshape(n_sc, N_CLASSES) for v in x_none_terms(table))
-    # per scenario, the no-click mass of the classes that share each
-    # distinct eta_b; the padding has mass 0 and adds exactly nothing
-    groups = [np.unique(e) for e in eta_b]
-    none_g = np.zeros((n_sc, max(len(g) for g in groups)))
-    none_w = np.zeros_like(none_g)
-    for i, g in enumerate(groups):
-        none_g[i, : len(g)] = g
-        none_w[i, : len(g)] = [
-            np.dot(priors[i], np.where(eta_b[i] == v, k_fac[i], 0.0)) for v in g
-        ]
     phased = table.mean_cos.any(axis=0).reshape(n_sc, N_CLASSES).any(axis=0)
+    # per scenario, the no-click mass of the classes with a flat fringe,
+    # and that of each phased class with its eta_b
+    none_mass = priors * k_fac
+    none_flat = none_mass[:, ~phased].sum(axis=1)
+    none_phased = none_mass[:, phased, None]
+    eta_phased = eta_b[:, phased, None]
     fixed = _X_COUNTED & ~phased
     static = static_outcome(table).reshape(n_sc, N_CLASSES, -1)
     p_fixed = np.array([
@@ -484,10 +480,11 @@ def _x_key_probs(
         cos_t: np.ndarray, parity: np.ndarray, sel: slice
     ) -> tuple[np.ndarray, np.ndarray]:
         n = cos_t.shape[0]
-        terms = none_w[sel, :, None] * np.exp(-none_g[sel, :, None] * cos_t)
-        none_sum = np.zeros((terms.shape[0], n))
-        for k in range(terms.shape[1]):
-            none_sum += terms[:, k]
+        # a sum over a middle axis adds the phased classes in class order,
+        # however many scenarios the slice holds
+        none_sum = none_flat[sel, None] + np.sum(
+            none_phased[sel] * np.exp(-eta_phased[sel] * cos_t), axis=1
+        )
         cls = columns[sel]
         probs = outcome_probs(table, cls.reshape(-1, 1), cos_t)[..., :COL_NONE]
         probs = probs.reshape(*cls.shape, n, COL_NONE)
@@ -565,14 +562,13 @@ _GL_W = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
                   18.0 + math.sqrt(30.0), 18.0 - math.sqrt(30.0)]) / 72.0
 GREGORY = np.array([469.0, -177.0, 87.0, -19.0]) / 720.0
 HEAD_BURSTS = 16
-# nodes evaluated at once, which bounds memory on scenarios cut into
-# very many segments; each node set is also summed in slices of this size
-NODE_BATCH = 1 << 18
-# node sets share one evaluation only while it holds at most this many
-# nodes: beyond a few thousand, the temporaries of outcome_probs cost
-# more per node than the saved calls (a 300 s preset's three sets of
-# 3024 nodes ran 1.3 times slower as one evaluation, in a fresh process)
-SHARED_NODES = 1 << 12
+# nodes evaluated at once: the node sets of the X-path sums are laid end
+# to end and cut into chunks of this size, and each evaluation covers as
+# many scenarios as keep it within this many scenario-nodes, or one.
+# Beyond a few thousand nodes, the temporaries of outcome_probs cost more
+# per node than the saved calls (a 300 s preset's three sets of 3024
+# nodes ran 1.3 times slower as one evaluation, in a fresh process)
+EVAL_NODES = 1 << 12
 
 
 def _quadrature_nodes(
@@ -629,25 +625,6 @@ def _quadrature_nodes(
     ]
 
 
-def _node_batches(sizes: list[int]) -> Iterator[list[tuple[int, slice]]]:
-    """Batches of (node set, slice), for node sets of these sizes. Each
-    set is cut into NODE_BATCH slices of its own and no slice is split,
-    so the sum over a slice does not depend on what shares its batch.
-    Slices share a batch while it holds at most SHARED_NODES nodes."""
-    batch: list[tuple[int, slice]] = []
-    size = 0
-    for k, n in enumerate(sizes):
-        for a in range(0, n, NODE_BATCH):
-            sl = slice(a, min(a + NODE_BATCH, n))
-            if batch and size + sl.stop - a > SHARED_NODES:
-                yield batch
-                batch, size = [], 0
-            batch.append((k, sl))
-            size += sl.stop - a
-    if batch:
-        yield batch
-
-
 def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     """Closed-form expected tallies for a full scenario run.
 
@@ -659,7 +636,8 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     each run shape, weighted by its number of runs (_quadrature_nodes).
     The drift-bound sums carry sigma * sqrt(tau), which is not smooth at
     the lock, so they are integrated in u = sqrt(tau) instead. The node
-    sets of the X-path sums share their evaluations (_node_batches).
+    sets of the X-path sums are evaluated together, in fixed chunks of
+    EVAL_NODES nodes (grouped_expected_tallies).
     Counts per burst and detector are Bernoulli (first click wins, dead
     time covers the rest of the burst, which ScenarioConfig enforces),
     so variances are exact binomial sums.
@@ -677,11 +655,14 @@ def grouped_expected_tallies(
     the same fringe_block_bursts, and so share their lock schedule,
     segments, quadrature nodes and phases. These are built once, from
     the first scenario; both gate tables are built once for all
-    scenarios (_link_model); and each X-path evaluation covers as many
-    scenarios as keep it within SHARED_NODES scenario-nodes, or one.
+    scenarios (_link_model). The X-path node sets are laid end to end and
+    cut into chunks of EVAL_NODES nodes; each chunk's phases are
+    evaluated once, and each evaluation of its key probabilities covers
+    as many scenarios as keep it within EVAL_NODES scenario-nodes, or one.
 
-    Each result equals the scenario's own call bit for bit: a scenario's
-    sums run over its own terms, in the same order and array shapes.
+    Each result equals the scenario's own call bit for bit: the chunks do
+    not depend on the scenarios, and a scenario's sums run over its own
+    terms, in the same order and array shapes.
     """
     first = scenarios[0]
     model = _link_model(scenarios)
@@ -696,38 +677,47 @@ def grouped_expected_tallies(
     # (offsets, weights, parities, spread) of each X-path sum: the
     # means at spread 0 and, under drift, the +/-spread drift sums
     sets = [(*nodes[0], 0.0)] + [(*nodes[-1], s) for s in (1.0, -1.0) if drift]
-    # per set and scenario, the sum over eligible bursts of the per-burst
+    # the sets laid end to end, where each begins and ends
+    ends = np.cumsum([offset.size for offset, *_ in sets]).tolist()
+    begins = [0, *ends[:-1]]
+    # per scenario and set, the sum over eligible bursts of the per-burst
     # click probability p of each tally key on the X detector, and of p^2;
     # the drift sums stay 0 without drift
-    x_sums = np.zeros((3, len(scenarios), 2, len(TALLY_KEYS)))
-    for batch in _node_batches([offset.size for offset, *_ in sets]):
-        offset = np.concatenate([sets[k][0][sl] for k, sl in batch])
-        parity = np.concatenate([sets[k][2][sl] for k, sl in batch])
-        spread = np.concatenate(
-            [np.full(sl.stop - sl.start, sets[k][3]) for k, sl in batch]
+    x_sums = np.zeros((len(scenarios), 3, 2, len(TALLY_KEYS)))
+    for a in range(0, ends[-1], EVAL_NODES):
+        b = min(a + EVAL_NODES, ends[-1])
+        # each set that the chunk [a, b) overlaps in [start, stop), with
+        # the slice of its nodes and of the chunk's columns this covers
+        parts = [
+            (k, slice(start - s, stop - s), slice(start - a, stop - a))
+            for k, (s, e) in enumerate(zip(begins, ends))
+            if (start := max(a, s)) < (stop := min(b, e))
+        ]
+        offset, parity = (
+            np.concatenate([sets[k][i][own] for k, own, _ in parts]) for i in (0, 2)
         )
+        spread = np.concatenate(
+            [np.full(col.stop - col.start, sets[k][3]) for k, _, col in parts]
+        )
+        # row j holds the weights of part j at its columns, 0 elsewhere
+        w = np.zeros((len(parts), b - a))
+        for j, (k, own, col) in enumerate(parts):
+            w[j, col] = sets[k][1][own]
         cos_t = expected_cos_theta(first, offset, parity, spread)
-        step = max(1, SHARED_NODES // offset.size)
-        for a in range(0, len(scenarios), step):
-            p, q_any = key_probs(cos_t, parity, slice(a, a + step))
+        step = max(1, EVAL_NODES // (b - a))
+        for i in range(0, len(scenarios), step):
+            p, q_any = key_probs(cos_t, parity, slice(i, i + step))
             p *= duty_factor(q_any, slots)[..., None]  # per burst
-            for i, p_sc in enumerate(p, start=a):
-                start = 0
-                for k, sl in batch:
-                    rows = p_sc[start : start + sl.stop - sl.start]
-                    start += rows.shape[0]
-                    sums = sets[k][1][sl] @ np.hstack((rows, rows * rows))
-                    x_sums[k, i] += sums.reshape(2, -1)
-            # free these rows before the next evaluation
-            del p, p_sc, rows
+            sums = np.stack((w @ p, w @ (p * p)), axis=-2)  # (points, parts, 2, keys)
+            x_sums[i : i + step, [k for k, *_ in parts]] += sums
 
     static_z = static_outcome(model.z_table).reshape(len(scenarios), N_CLASSES, -1)
     priors = model.priors.reshape(len(scenarios), N_CLASSES)
     symbols_sent = eligible_total * slots
     out = []
     for i, sc in enumerate(scenarios):
-        x_mean, x_sq = x_sums[0, i]
-        x_shift = (x_sums[1, i, 0] - x_sums[2, i, 0]) / 2.0  # half the difference
+        x_mean, x_sq = x_sums[i, 0]
+        x_shift = (x_sums[i, 1, 0] - x_sums[i, 2, 0]) / 2.0  # half the difference
         q_any_z = float(np.dot(priors[i], 1.0 - static_z[i, :, COL_NONE]))
         # per burst and fringe parity
         pz = _class_key_probs(_Z_WEIGHTS, priors[i], static_z[i]) * duty_factor(

@@ -19,9 +19,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from tbqkd import DetectorModel
+from tbqkd import DetectorModel, __version__
 from tbqkd.cli import main
-from tbqkd.config import ScenarioConfig, save_scenario
+from tbqkd.config import ScenarioConfig, load_scenario, save_scenario
 from tbqkd.protocol import ProtocolParams
 from tbqkd.sift import read_tally_csv
 
@@ -185,6 +185,24 @@ class TestSimulate:
         for report in reports:
             del report["meta"]["timings"]
         assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    def test_report_identifies_the_run(self, runner, cfg_path, tmp_path):
+        digests = {}
+        for name, extra in (("a", []), ("b", []), ("seed", ["--seed", "12"])):
+            out = tmp_path / name
+            result = runner.invoke(
+                main, ["simulate", "--config", cfg_path, *extra, "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            meta = json.loads((out / "report.json").read_text())["meta"]
+            assert meta["version"] == __version__
+            digests[name] = meta["config_sha256"]
+        assert digests["a"] == digests["b"] != digests["seed"]
+        # the digest of the scenario as run, recomputed from the file
+        loaded = load_scenario(cfg_path)
+        for name, sc in (("a", loaded), ("seed", loaded.replace(seed=12))):
+            text = json.dumps(sc.to_dict(), sort_keys=True)
+            assert digests[name] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_report_times_each_stage(self, runner, cfg_path, tmp_path):
         out = tmp_path / "run"

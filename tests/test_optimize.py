@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 
+import numpy as np
 import pytest
 
 import tbqkd.optimize as optimize
+import tbqkd.slotmodel as slotmodel
 from tbqkd import load_preset
 from tbqkd.errors import EmptyGridError
 from tbqkd.optimize import (
@@ -17,7 +19,12 @@ from tbqkd.optimize import (
     optimize_params,
     write_grid_csv,
 )
-from tbqkd.slotmodel import ExpectedTallies, analytic_expected_tallies
+from tbqkd.slotmodel import (
+    ExpectedTallies,
+    analytic_expected_tallies,
+    build_link_model,
+    x_segments,
+)
 
 from conftest import small_scenario
 
@@ -118,23 +125,50 @@ GROUPED_GRIDS = {
 }
 
 
+def record_passes(monkeypatch) -> list:
+    """Wrap optimize.grouped_expected_tallies; each oracle pass appends
+    its scenarios and results."""
+    passes = []
+    inner = optimize.grouped_expected_tallies
+
+    def recording(scenarios):
+        out = inner(scenarios)
+        passes.append((list(scenarios), out))
+        return out
+
+    monkeypatch.setattr(optimize, "grouped_expected_tallies", recording)
+    return passes
+
+
+def counted_phased_classes(sc) -> int:
+    """Classes whose X-path outcomes the oracle evaluates per node."""
+    phased = build_link_model(sc).x_table.mean_cos.any(axis=0)
+    return int(np.count_nonzero(slotmodel._X_COUNTED & phased))
+
+
+def record_outcome_probs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Wrap slotmodel.outcome_probs; each call appends the shape of its
+    classes and the number of outcomes it evaluates."""
+    calls = []
+    inner = slotmodel.outcome_probs
+
+    def recording(table, cls, cos_t):
+        calls.append((np.shape(cls), np.broadcast(cls, cos_t).size))
+        return inner(table, cls, cos_t)
+
+    monkeypatch.setattr(slotmodel, "outcome_probs", recording)
+    return calls
+
+
 class TestGroupedGrid:
     """optimize_params evaluates the points that share a lock schedule in
     one oracle pass; each point must come out as its own call would."""
 
     @pytest.fixture(scope="class", params=list(GROUPED_GRIDS))
     def run(self, request):
-        passes = []
-        inner = optimize.grouped_expected_tallies
-
-        def recording(scenarios):
-            out = inner(scenarios)
-            passes.append((list(scenarios), out))
-            return out
-
         sc = drifting_0db(2.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimize, "grouped_expected_tallies", recording)
+            passes = record_passes(mp)
             result = optimize_params(sc, GROUPED_GRIDS[request.param])
         return request.param, sc, result, passes
 
@@ -153,6 +187,29 @@ class TestGroupedGrid:
             for sc, got in zip(scenarios, expected):
                 assert got == analytic_expected_tallies(sc)
 
+    def test_chunk_boundaries_do_not_depend_on_grouping(self, monkeypatch):
+        # 100 nodes divide no set size of either group, so a chunk
+        # straddles the means set and the first drift set, and each
+        # group's last chunk is short enough to serve both of its points
+        monkeypatch.setattr(slotmodel, "EVAL_NODES", 100)
+        passes = record_passes(monkeypatch)
+        calls = record_outcome_probs(monkeypatch)
+        sc = drifting_0db(2.0)
+        optimize_params(sc, GROUPED_GRIDS["two_groups"])
+        assert [len(scenarios) for scenarios, _ in passes] == [2, 2]
+        for scenarios, _ in passes:
+            first = scenarios[0]
+            nodes = slotmodel._quadrature_nodes(first, *x_segments(first), True)
+            sizes = [pos.size for pos, _, _ in nodes]
+            assert sizes[0] % 100 != 0 and sizes[1] % 100 != 0
+            assert 0 < (sizes[0] + 2 * sizes[1]) % 100 <= 50
+        # X-path evaluations take the classes as a column, per point
+        rows = {shape[0] for shape, _ in calls if len(shape) == 2}
+        assert rows == {counted_phased_classes(sc) * k for k in (1, 2)}
+        for scenarios, expected in passes:
+            for point, got in zip(scenarios, expected):
+                assert got == analytic_expected_tallies(point)
+
     def test_points_and_best_equal_single_keyrates(self, run):
         name, sc, result, _ = run
         for point in result.points:
@@ -164,6 +221,41 @@ class TestGroupedGrid:
         assert result.best_report == expected_keyrate(sc.replace(params=result.best))
         if name == "two_groups":
             assert result.best_skl > 0
+
+
+class TestOneMemoryBound:
+    """The oracle lays the X-path node sets end to end and evaluates them
+    in chunks of EVAL_NODES nodes, whatever the points it groups."""
+
+    @pytest.mark.parametrize(
+        "preset, duration, grid, n_calls",
+        [
+            ("link-7db", 300.0, False, 5),
+            ("link-7db", 300.0, True, 11),
+            ("link-14db", 5.0, True, 3),
+        ],
+        ids=["oracle-300s", "grid-300s", "grid-5s"],
+    )
+    def test_one_memory_bound(self, preset, duration, grid, n_calls, monkeypatch):
+        # no evaluation exceeds EVAL_NODES nodes of each counted phased
+        # class. Beyond the two static outcome calls, a 300 s preset's
+        # 9072 nodes take three chunks, the last of which serves all four
+        # points of a grid at once; a 5 s grid takes one chunk
+        sc = load_preset(preset).replace(duration=duration)
+        calls = record_outcome_probs(monkeypatch)
+        if grid:
+            p = sc.params
+            spec = GridSpec(
+                mu1=[p.mu1], mu2=[p.mu2, p.mu2 + 0.04],
+                p_mu1=[p.p_mu1, p.p_mu1 + 0.1], p_z=[p.p_z],
+            )
+            assert len(optimize_params(sc, spec).points) == 4
+        else:
+            analytic_expected_tallies(sc)
+        assert len(calls) == n_calls
+        assert any(len(shape) == 2 for shape, _ in calls)
+        bound = slotmodel.EVAL_NODES * counted_phased_classes(sc)
+        assert max(size for _, size in calls) <= bound
 
 
 @pytest.fixture(scope="module")

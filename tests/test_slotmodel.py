@@ -724,11 +724,15 @@ class TestSegmentQuadrature:
     def test_matches_per_burst_sum_across_node_batches(
         self, drift_sigma, servo, monkeypatch
     ):
-        # every node set spans several batches, which several sets share
-        monkeypatch.setattr(slotmodel, "NODE_BATCH", 32)
+        # every node set spans several chunks, and the means set ends
+        # inside a chunk that the first drift set shares
+        chunk = 37
+        monkeypatch.setattr(slotmodel, "EVAL_NODES", chunk)
         sc = segment_scenario(drift_sigma, servo)
         nodes = slotmodel._quadrature_nodes(sc, *x_segments(sc), drift=True)
-        assert len(nodes) == 2 and min(pos.size for pos, _, _ in nodes) > 2 * 32
+        sizes = [pos.size for pos, _, _ in nodes]
+        assert len(nodes) == 2 and min(sizes) > 2 * chunk
+        assert sizes[0] % chunk != 0
         self.check_per_burst_sum(sc)
 
     @staticmethod
