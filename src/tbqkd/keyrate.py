@@ -68,8 +68,6 @@ class DecoyBounds:
     s_x0_upper: float
     s_x1_lower: float
     v_x1_upper: float
-    tau0: float
-    tau1: float
 
     @property
     def degenerate(self) -> bool:
@@ -131,9 +129,8 @@ def decoy_bounds(
     )
 
     mu1, mu2 = params.mu1, params.mu2
-    m_x = t.m_x
-    _, mup1 = finite_bounds(t.m_x_mu1, m_x, eps2)
-    mlo2, _ = finite_bounds(t.m_x_mu2, m_x, eps2)
+    _, mup1 = finite_bounds(t.m_x_mu1, t.m_x, eps2)
+    mlo2, _ = finite_bounds(t.m_x_mu2, t.m_x, eps2)
     m_plus_1 = math.exp(mu1) / params.p_mu1 * mup1
     m_minus_2 = math.exp(mu2) / params.p_mu2 * mlo2
     v_x1_u = t1 / (mu1 - mu2) * (m_plus_1 - m_minus_2)
@@ -146,8 +143,6 @@ def decoy_bounds(
         s_x0_upper=s_x0_u,
         s_x1_lower=s_x1_l,
         v_x1_upper=v_x1_u,
-        tau0=t0,
-        tau1=t1,
     )
 
 
@@ -228,14 +223,12 @@ class KeyRateReport:
     skl: int
     skr: float
     yield_: float
-    # diagnostics beyond the exported report object
-    q_x: float = 0.0
     s_x1_lower: float = 0.0
     v_x1_upper: float = 0.0
     s_z0_upper: float = 0.0
+    # diagnostics that report.json carries in its meta
+    q_x: float = 0.0
     degenerate: bool = False
-    elapsed_s: float = 0.0
-    symbols_sent: int = 0
 
     def to_json_dict(self) -> dict[str, float]:
         return {
@@ -247,6 +240,9 @@ class KeyRateReport:
             "skl": self.skl,
             "skr": self.skr,
             "yield": self.yield_,
+            "s_x1_lower": self.s_x1_lower,
+            "v_x1_upper": self.v_x1_upper,
+            "s_z0_upper": self.s_z0_upper,
         }
 
 
@@ -268,22 +264,18 @@ def keyrate(
         bounds.s_z1_lower, bounds.s_x1_lower, bounds.v_x1_upper, sec
     )
     skl, lam_ec = secret_key_length(bounds, phi, t, sec)
-    q_z = qber_z(t) if t.n_z > 0 else 0.0
-    q_x = qber_x(t.fringe_max_counts, t.fringe_min_counts) if t.n_x > 0 else 0.0
     return KeyRateReport(
         s_z0_lower=bounds.s_z0_lower,
         s_z1_lower=bounds.s_z1_lower,
         phi_z_upper=phi,
-        q_z=q_z,
+        q_z=qber_z(t) if t.n_z > 0 else 0.0,
         lambda_ec=lam_ec,
         skl=skl,
         skr=skl / t.elapsed_s if t.elapsed_s > 0.0 else 0.0,
         yield_=skl / sent if sent > 0 else 0.0,
-        q_x=q_x,
+        q_x=qber_x(t) if t.n_x > 0 else 0.0,
         s_x1_lower=bounds.s_x1_lower,
         v_x1_upper=bounds.v_x1_upper,
         s_z0_upper=bounds.s_z0_upper,
         degenerate=bounds.degenerate or t.n_z == 0,
-        elapsed_s=t.elapsed_s,
-        symbols_sent=sent,
     )

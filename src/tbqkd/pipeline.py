@@ -77,9 +77,6 @@ BLOCK_SLOTS = 1 << 15
 
 REFERENCE_MAX_SLOTS = 5_000_000
 
-_LEDGER_SHAPE = (3, 2)  # sent slots per (state, intensity)
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """Tallies plus the bookkeeping an analysis or report needs."""
@@ -146,72 +143,10 @@ def _bins(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u > cum).sum(axis=0)
 
 
-@dataclass
-class _Accumulator:
-    """Tally-key counts, clicks per sift_rule reason, and the sent ledger."""
-
-    counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(len(TALLY_KEYS), np.int64)
-    )
-    discards: np.ndarray = field(
-        default_factory=lambda: np.zeros(SIDEBAND + 1, np.int64)
-    )
-    sent: np.ndarray = field(
-        default_factory=lambda: np.zeros(_LEDGER_SHAPE, np.int64)
-    )
-
-
-def _tally_detector(
-    acc: _Accumulator,
-    detector: Basis,
-    cls: np.ndarray,
-    bins: np.ndarray,
-    parity: np.ndarray,
-) -> None:
-    """Count attributed first clicks through the sift rule."""
-    counts, discards = count_clicks(
-        CLASS_STATE[cls], CLASS_INTENSITY[cls], detector, bins, parity
-    )
-    acc.counts += counts
-    acc.discards += discards
-
-
-def _cell_starts(class_state: np.ndarray, class_intensity: np.ndarray) -> np.ndarray:
-    """First class of each (state, intensity) ledger cell but the first.
-
-    A slot's class is the number of cumulative priors at or below its
-    uniform, so the slots of cells j and up are the uniforms at or above
-    the cumulative prior of the class just before cell j's first class.
-    That holds only if each cell is one run of consecutive classes and
-    the runs come in ledger order (state, then intensity); any other
-    class order raises here instead of mis-counting the ledger.
-    """
-    n_states, n_int = _LEDGER_SHAPE
-    cell = np.asarray(class_state) * n_int + np.asarray(class_intensity)
-    step = np.diff(cell)
-    in_order = (cell[0] == 0) & (cell[-1] == n_states * n_int - 1)
-    if not in_order or ((step != 0) & (step != 1)).any():
-        raise ValueError(
-            "slot classes must run through the (state, intensity) ledger "
-            "cells in order, each cell in consecutive classes"
-        )
-    return np.flatnonzero(step) + 1
-
-
-_CELL_STARTS = _cell_starts(CLASS_STATE, CLASS_INTENSITY)
-
-
 def _count_at_least(u: np.ndarray, edges: np.ndarray, hits: np.ndarray) -> list[int]:
     """Number of the class uniforms u at or above each cell edge; hits is
     a scratch boolean array of u's shape."""
     return [np.count_nonzero(np.greater_equal(u, e, out=hits)) for e in edges]
-
-
-def _ledger_cells(n: int, at_least: np.ndarray) -> np.ndarray:
-    """Slots per (state, intensity) cell, _LEDGER_SHAPE, of n class
-    uniforms of which at_least[j] lie at or above cell edge j: cell j
-    and up hold the uniforms at or above edge j - 1."""
-    return -np.diff([n, *at_least, 0]).reshape(_LEDGER_SHAPE)
 
 
 def _x_click_prob(
@@ -365,7 +300,10 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     walks = _theta_walk(scenario, starts, theta_rng)
 
     class_edges = np.cumsum(model.priors)[:-1]
-    cell_edges = class_edges[_CELL_STARTS - 1]
+    # class c = 4*state + 2*intensity + route (class_index), so each
+    # (state, intensity) ledger cell is two consecutive classes, and cell
+    # j >= 1 starts at the upper edge of class 2j - 1
+    cell_edges = class_edges[1::2]
     static_z = static_outcome(model.z_table)
     qz_any = 1.0 - static_z[:, COL_NONE]
     # the direct path has no phase term: one row per class serves every
@@ -375,7 +313,8 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     z_bound, x_bounds = _click_bounds(qz_any, kx, eta_b)
     x_bound = float(x_bounds.max())
 
-    acc = _Accumulator()
+    counts = np.zeros(len(TALLY_KEYS), np.int64)
+    discards = np.zeros(SIDEBAND + 1, np.int64)
     eligible_total = 0
     # eligible slots whose class uniform lies at or above each cell edge
     at_least = np.zeros(len(cell_edges), np.int64)
@@ -438,16 +377,26 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         if z_cls.size:
             u_att = rng.random(z_cls.size)
             bins = _bins(np.take(z_cum, z_cls, axis=1), u_att)
-            _tally_detector(acc, Basis.Z, z_cls, bins, z_parity)
+            c, d = count_clicks(
+                CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z, bins, z_parity
+            )
+            counts += c
+            discards += d
         if x_cls.size:
             u_att = rng.random(x_cls.size)
             cum = _click_cum(outcome_probs(model.x_table, x_cls, x_cos).T)
-            _tally_detector(acc, Basis.X, x_cls, _bins(cum, u_att), x_parity)
+            c, d = count_clicks(
+                CLASS_STATE[x_cls], CLASS_INTENSITY[x_cls], Basis.X,
+                _bins(cum, u_att), x_parity,
+            )
+            counts += c
+            discards += d
         timings["attribution_s"] += clock() - t1
 
-    acc.sent += _ledger_cells(eligible_total * slots, at_least)
+    # cells j and up hold the uniforms at or above cell edge j - 1
+    sent = -np.diff([eligible_total * slots, *at_least, 0]).reshape(3, 2)
     elapsed = eligible_total * slots * scenario.params.symbol_period
-    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
+    stats = SiftResult.from_counts(counts, discards, sent, elapsed)
     return _run_outcome(scenario, stats, eligible_total, timings)
 
 

@@ -168,21 +168,11 @@ class TallyCounts:
         return self.m_x_mu1 + self.m_x_mu2
 
     @property
-    def fringe_min_counts(self) -> int:
-        return self.m_x
-
-    @property
-    def fringe_max_counts(self) -> int:
-        return self.n_x - self.m_x
-
-    @property
     def symbols_sent(self) -> int:
         return sum(v for row in self.sent_counts for v in row)
 
     def to_export_dict(self) -> dict[str, float]:
-        out: dict[str, float] = {k: getattr(self, k) for k in TALLY_KEYS}
-        out["elapsed_s"] = self.elapsed_s
-        return out
+        return {k: getattr(self, k) for k in EXPORT_KEYS}
 
     @classmethod
     def from_export_dict(cls, d: dict[str, float]) -> "TallyCounts":
@@ -279,24 +269,16 @@ def sift(
     )
 
 
-def qber_z(t: TallyCounts, intensity: IntensityClass | None = None) -> float:
-    """Z-basis error rate, overall or for one intensity class."""
-    if intensity is None:
-        n, m = t.n_z, t.m_z
-    elif intensity == IntensityClass.Signal:
-        n, m = t.n_z_mu1, t.m_z_mu1
-    else:
-        n, m = t.n_z_mu2, t.m_z_mu2
-    if n <= 0:
+def qber_z(t: TallyCounts) -> float:
+    """Z-basis error rate, m_z / n_z."""
+    if t.n_z == 0:
         raise EmptyTallyError("no sifted Z detections")
-    return m / n
+    return t.m_z / t.n_z
 
 
-def qber_x(fringe_max_counts: int, fringe_min_counts: int) -> float:
-    """X-basis error rate from the fringe extremes:
-    Q_X = min / (min + max), i.e. (1 - V_eff)/2 for an ideal fringe."""
-    if fringe_max_counts < 0 or fringe_min_counts < 0:
-        raise DomainError("fringe counts must be non-negative")
-    if fringe_max_counts + fringe_min_counts == 0:
+def qber_x(t: TallyCounts) -> float:
+    """X-basis error rate, m_x / n_x: the share of check-basis clicks in
+    fringe-minimum blocks, (1 - V_eff)/2 for an ideal fringe."""
+    if t.n_x == 0:
         raise EmptyTallyError("no X-basis counts")
-    return fringe_min_counts / (fringe_min_counts + fringe_max_counts)
+    return t.m_x / t.n_x

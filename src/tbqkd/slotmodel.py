@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .link import DetectorModel, bin_regions
-from .protocol import Basis, Bin, IntensityClass, State
+from .protocol import Basis, Bin, IntensityClass, ProtocolParams, State
 from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS, burst_parity
 
 N_CLASSES = 12
@@ -647,6 +648,16 @@ def analytic_expected_tallies(scenario: ScenarioConfig) -> ExpectedTallies:
     return grouped_expected_tallies([scenario])[0]
 
 
+# the fields that the scenarios of one grouped pass share: all but the
+# source parameters of a grid point
+_SHARED = tuple(
+    [f"params.{f.name}" for f in fields(ProtocolParams)
+     if f.name not in ("mu1", "mu2", "p_mu1", "p_z")]
+    + [f.name for f in fields(ScenarioConfig) if f.name != "params"]
+)
+_shared_values = attrgetter(*_SHARED)
+
+
 def grouped_expected_tallies(
     scenarios: Sequence[ScenarioConfig],
 ) -> list[ExpectedTallies]:
@@ -662,9 +673,23 @@ def grouped_expected_tallies(
 
     Each result equals the scenario's own call bit for bit: the chunks do
     not depend on the scenarios, and a scenario's sums run over its own
-    terms, in the same order and array shapes.
+    terms, in the same order and array shapes. Scenarios that differ in
+    anything else raise ValueError, naming the first such field.
     """
     first = scenarios[0]
+    # a grid's points share the objects of these fields, which a tuple
+    # compares by identity first
+    shared = _shared_values(first), fringe_block_bursts(first)
+    for sc in scenarios[1:]:
+        if (_shared_values(sc), fringe_block_bursts(sc)) != shared:
+            name = next(
+                (n for n in _SHARED if attrgetter(n)(sc) != attrgetter(n)(first)),
+                "fringe_block_bursts",
+            )
+            raise ValueError(
+                "grouped scenarios may differ only in mu1, mu2, p_mu1 and p_z, "
+                f"at one fringe_block_bursts; one differs in {name}"
+            )
     model = _link_model(scenarios)
     slots = first.params.symbols_per_burst
     key_probs = _x_key_probs(model)

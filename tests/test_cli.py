@@ -36,6 +36,9 @@ REPORT_KEYS = {
     "skl",
     "skr",
     "yield",
+    "s_x1_lower",
+    "v_x1_upper",
+    "s_z0_upper",
 }
 
 

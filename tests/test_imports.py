@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
+no module defines a private name that no module of the package reads,
 and every name the benchmark's tracer patches exists.
 
-__init__.py is exempt: its imports are the package's public names.
+__init__.py is exempt from the import check: its imports are the
+package's public names.
 """
 
 from __future__ import annotations
@@ -44,6 +46,50 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """"module:name" of each top-level name with a leading underscore
+    (dunders aside) that a module of sources defines, by def, class or
+    assignment, and no module of sources reads, sorted."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        n.id
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}:{name}" for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and name not in read
+            ]
+    return sorted(unread)
+
+
+def test_the_check_finds_unread_private_names():
+    sources = {
+        "a.py": "_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                "def _f():\n    return _A\nclass _K:\n    pass\n",
+        "b.py": "from a import _C\ndef g(_D):\n    return _C + _D\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_B", "a.py:_K", "a.py:_f"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def tracer_paths() -> list[str]:

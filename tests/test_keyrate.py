@@ -382,6 +382,7 @@ class TestReportSerialization:
         assert set(rep.to_json_dict()) == {
             "s_z0_lower", "s_z1_lower", "phi_z_upper", "q_z",
             "lambda_ec", "skl", "skr", "yield",
+            "s_x1_lower", "v_x1_upper", "s_z0_upper",
         }
 
     def test_all_error_x_tally_reports_q_x_one(self):

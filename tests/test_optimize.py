@@ -210,6 +210,21 @@ class TestGroupedGrid:
             for point, got in zip(scenarios, expected):
                 assert got == analytic_expected_tallies(point)
 
+    @pytest.mark.parametrize(
+        "second, field",
+        [
+            (lambda: load_preset("link-14db").replace(duration=5.0), "channel"),
+            (lambda: load_preset("link-7db").replace(duration=2.0), "duration"),
+        ],
+        ids=["other_link", "other_duration"],
+    )
+    def test_scenarios_beyond_the_grid_axes_are_refused(self, second, field):
+        # the pass reads the link and the lock schedule from the first
+        # scenario only, so it may not silently serve another's
+        first = load_preset("link-7db").replace(duration=5.0)
+        with pytest.raises(ValueError, match=f"differs in {field}$"):
+            slotmodel.grouped_expected_tallies([first, second()])
+
     def test_points_and_best_equal_single_keyrates(self, run):
         name, sc, result, _ = run
         for point in result.points:

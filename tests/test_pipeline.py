@@ -31,7 +31,7 @@ from tbqkd import (
 from tbqkd.errors import ScheduleViolationError
 from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS
 from tbqkd.protocol import Basis, IntensityClass, State
-from tbqkd.sift import TALLY_KEYS, SiftResult
+from tbqkd.sift import SIDEBAND, TALLY_KEYS, SiftResult, count_clicks
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
@@ -442,7 +442,9 @@ def per_slot_run(scenario):
     qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
     kx, eta_b = x_none_terms(model.x_table)
 
-    acc = pipeline._Accumulator()
+    counts = np.zeros(len(TALLY_KEYS), np.int64)
+    discards = np.zeros(SIDEBAND + 1, np.int64)
+    sent = np.zeros((3, 2), np.int64)
     eligible_total = 0
     for chunk, (rng, walk) in enumerate(zip(chunk_rngs, walks)):
         lo = chunk * CHUNK_BURSTS
@@ -460,7 +462,7 @@ def per_slot_run(scenario):
         eligible_total += int(eligible.sum())
         if eligible.any():
             sent_cls = np.bincount(cls[eligible].ravel(), minlength=N_CLASSES)
-            acc.sent += sent_cls.reshape(3, 2, 2).sum(axis=2)
+            sent += sent_cls.reshape(3, 2, 2).sum(axis=2)
 
         for detector, clicked in ((Basis.Z, clicked_z), (Basis.X, clicked_x)):
             has = clicked.any(axis=1) & eligible
@@ -473,10 +475,15 @@ def per_slot_run(scenario):
             bins = row_major_attribute_bins(
                 model.table(detector), c_sel, cos_b[rows], u_att
             )
-            pipeline._tally_detector(acc, detector, c_sel, bins, parity[rows])
+            c, d = count_clicks(
+                CLASS_STATE[c_sel], CLASS_INTENSITY[c_sel], detector, bins,
+                parity[rows],
+            )
+            counts += c
+            discards += d
 
     elapsed = eligible_total * slots * scenario.params.symbol_period
-    stats = SiftResult.from_counts(acc.counts, acc.discards, acc.sent, elapsed)
+    stats = SiftResult.from_counts(counts, discards, sent, elapsed)
     return pipeline._run_outcome(scenario, stats, eligible_total, {})
 
 
@@ -613,26 +620,15 @@ class TestAttribution:
 
 class TestLedgerCells:
     def test_cell_starts_follow_class_index(self):
-        starts = pipeline._CELL_STARTS
-        bounds = [0, *starts, N_CLASSES]
+        # run_simulation counts the ledger at class_edges[1::2], which
+        # holds only if (state, intensity) cell j is classes 2j and 2j + 1
         for state in State:
             for intensity in IntensityClass:
-                j = int(state) * 2 + int(intensity)
                 for route in Basis:
                     c = class_index(state, intensity, route)
-                    assert bounds[j] <= c < bounds[j + 1]
-
-    @pytest.mark.parametrize(
-        "order",
-        [
-            [2, 3, 0, 1, 4, 5, 6, 7, 8, 9, 10, 11],  # two cells swapped
-            [0, 2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11],  # a cell split
-            [4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11],  # two states swapped
-        ],
-    )
-    def test_reordered_classes_are_refused(self, order):
-        with pytest.raises(ValueError, match="ledger"):
-            pipeline._cell_starts(CLASS_STATE[order], CLASS_INTENSITY[order])
+                    assert c // 2 == int(state) * 2 + int(intensity)
+                    assert CLASS_STATE[c] == state
+                    assert CLASS_INTENSITY[c] == intensity
 
     @staticmethod
     def class_uniforms():
@@ -652,9 +648,9 @@ class TestLedgerCells:
         cum_priors, u, cls = self.class_uniforms()
         want = np.bincount(cls.ravel(), minlength=N_CLASSES)
         at_least = pipeline._count_at_least(
-            u, cum_priors[pipeline._CELL_STARTS - 1], np.empty(u.shape, bool)
+            u, cum_priors[1:-1:2], np.empty(u.shape, bool)
         )
-        got = pipeline._ledger_cells(u.size, at_least)
+        got = -np.diff([u.size, *at_least, 0]).reshape(3, 2)
         np.testing.assert_array_equal(got, want.reshape(3, 2, 2).sum(axis=2))
 
     def test_edge_counts_equal_the_binary_search(self):

@@ -237,11 +237,15 @@ class TestSiftRule:
 
 
 class TestQber:
+    @staticmethod
+    def fringe(max_counts, min_counts):
+        """A tally of max_counts signal X clicks in fringe-maximum blocks
+        and min_counts decoy X clicks in fringe-minimum blocks."""
+        return TallyCounts(n_x_mu1=max_counts, n_x_mu2=min_counts, m_x_mu2=min_counts)
+
     def test_qber_z_arithmetic(self):
         t = TallyCounts(n_z_mu1=70, n_z_mu2=30, m_z_mu1=2, m_z_mu2=1)
         assert qber_z(t) == pytest.approx(0.03)
-        assert qber_z(t, IntensityClass.Signal) == pytest.approx(2 / 70)
-        assert qber_z(t, IntensityClass.Decoy) == pytest.approx(1 / 30)
 
     def test_qber_z_zero_errors(self):
         assert qber_z(TallyCounts(n_z_mu1=100)) == 0.0
@@ -251,25 +255,27 @@ class TestQber:
             qber_z(TallyCounts())
 
     def test_qber_x_ideal_fringe(self):
-        assert qber_x(99, 1) == pytest.approx(0.01)
+        assert qber_x(self.fringe(99, 1)) == pytest.approx(0.01)
 
     def test_qber_x_visibility_relation(self):
         v = 0.98
         max_c, min_c = 1_000_000, round(1_000_000 * (1 - v) / (1 + v))
-        assert qber_x(max_c, min_c) == pytest.approx((1 - v) / 2, abs=1e-6)
+        assert qber_x(self.fringe(max_c, min_c)) == pytest.approx(
+            (1 - v) / 2, abs=1e-6
+        )
 
     def test_qber_x_min_zero(self):
-        assert qber_x(50, 0) == 0.0
+        assert qber_x(self.fringe(50, 0)) == 0.0
 
     def test_qber_x_max_zero(self):
-        assert qber_x(0, 3) == 1.0
+        assert qber_x(self.fringe(0, 3)) == 1.0
 
     def test_qber_x_no_interference(self):
-        assert qber_x(50, 50) == 0.5
+        assert qber_x(self.fringe(50, 50)) == 0.5
 
     def test_qber_x_empty_raises(self):
         with pytest.raises(EmptyTallyError):
-            qber_x(0, 0)
+            qber_x(TallyCounts(n_z_mu1=10))
 
 
 class TestTallyCounts:
@@ -288,7 +294,7 @@ class TestTallyCounts:
     def test_basis_totals(self):
         t = TallyCounts(n_z_mu1=5, n_z_mu2=3, n_x_mu1=2, n_x_mu2=1, m_x_mu1=1)
         assert t.n_z == 8 and t.n_x == 3
-        assert t.fringe_min_counts == 1 and t.fringe_max_counts == 2
+        assert t.m_z == 0 and t.m_x == 1
 
     def test_csv_round_trip(self, tmp_path):
         tallies = [
