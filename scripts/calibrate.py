@@ -15,8 +15,7 @@ then frozen:
 
 Everything runs on the closed-form expectation engine (drift and servo
 off), so the scan is deterministic. Pass --mc to append the two full
-Monte Carlo preset runs as a cross-check; pass --quick to shorten the
-stage B evaluations from 300 s to 120 s of simulated time.
+Monte Carlo preset runs as a cross-check.
 
 Exits 1 if the shipped presets disagree with the scan winners.
 """
@@ -129,9 +128,8 @@ def stage_a(base14: ScenarioConfig) -> tuple[float, float]:
     return best_er, best_dark
 
 
-def stage_b(
-    base7: ScenarioConfig, er: float, dark: float, duration: float
-) -> tuple[float, float]:
+def stage_b(base7: ScenarioConfig, er: float, dark: float) -> tuple[float, float]:
+    duration = base7.duration
     print(f"stage B: 7 dB joint margin at {duration:.0f} s per point")
     best = None
     for p_zr in P_ZR_GRID:
@@ -208,10 +206,6 @@ def stage_c(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick", action="store_true",
-        help="stage B at 120 s instead of 300 s of simulated time",
-    )
-    parser.add_argument(
         "--mc", action="store_true",
         help="append full Monte Carlo runs of both presets",
     )
@@ -221,7 +215,7 @@ def main() -> int:
     base14 = load_preset("link-14db")
 
     er, dark = stage_a(base14)
-    p_zr, f_ec = stage_b(base7, er, dark, 120.0 if args.quick else 300.0)
+    p_zr, f_ec = stage_b(base7, er, dark)
     return stage_c(er, dark, p_zr, f_ec, run_mc=args.mc)
 
 

@@ -13,7 +13,7 @@ from .config import ScenarioConfig
 from .errors import EmptyGridError
 from .keyrate import KeyRateReport, keyrate
 from .protocol import ProtocolParams
-from .sift import TALLY_KEYS, TallyCounts
+from .sift import TALLY_KEYS, TALLY_PAIRS, TallyCounts
 from .slotmodel import (
     ExpectedTallies,
     analytic_expected_tallies,
@@ -62,12 +62,10 @@ class GridResult:
 def expected_tally_counts(expected: ExpectedTallies) -> TallyCounts:
     """Round real-valued expectations into a TallyCounts (m clamped to n
     so rounding cannot break the m <= n invariant)."""
-    vals = {k: round(v) for k, v in expected.means.items()}
-    for n_key in ("n_z_mu1", "n_z_mu2", "n_x_mu1", "n_x_mu2"):
-        m_key = "m" + n_key[1:]
-        vals[m_key] = min(vals[m_key], vals[n_key])
-    assert set(vals) == set(TALLY_KEYS)
-    return TallyCounts(elapsed_s=expected.elapsed_s, **vals)
+    vals = [round(expected.means[k]) for k in TALLY_KEYS]
+    for i, j in TALLY_PAIRS:
+        vals[j] = min(vals[j], vals[i])
+    return TallyCounts(elapsed_s=expected.elapsed_s, **dict(zip(TALLY_KEYS, vals)))
 
 
 def expected_keyrate(scenario: ScenarioConfig) -> KeyRateReport:

@@ -53,7 +53,7 @@ from .keyrate import KeyRateReport, keyrate
 from .link import detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
-from .sift import TALLY_KEYS, SIDEBAND, SiftResult, TallyCounts, count_clicks, sift
+from .sift import COUNT_ROW, SiftResult, TallyCounts, count_clicks, sift
 from .slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
@@ -79,16 +79,26 @@ REFERENCE_MAX_SLOTS = 5_000_000
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Tallies plus the bookkeeping an analysis or report needs."""
+    """Sifted tallies plus the bookkeeping an analysis or report needs;
+    tallies, symbols_sent and elapsed_s are read from sift_stats."""
 
-    tallies: TallyCounts
     sift_stats: SiftResult
     eligible_bursts: int
     total_bursts: int
-    symbols_sent: int
-    elapsed_s: float
     # measured seconds per stage of the run, keyed "<stage>_s"
     timings: dict[str, float] = field(default_factory=dict, compare=False)
+
+    @property
+    def tallies(self) -> TallyCounts:
+        return self.sift_stats.tallies
+
+    @property
+    def symbols_sent(self) -> int:
+        return self.tallies.symbols_sent
+
+    @property
+    def elapsed_s(self) -> float:
+        return self.tallies.elapsed_s
 
 
 def _theta_walk(
@@ -236,24 +246,6 @@ def _servo_rows(
     return span[servo_excluded(scenario, starts, span)] - lo
 
 
-def _run_outcome(
-    scenario: ScenarioConfig,
-    stats: SiftResult,
-    eligible_total: int,
-    timings: dict[str, float],
-) -> RunOutcome:
-    """Outcome of a run whose eligible_total bursts sifted into stats."""
-    return RunOutcome(
-        tallies=stats.tallies,
-        sift_stats=stats,
-        eligible_bursts=eligible_total,
-        total_bursts=scenario.n_bursts,
-        symbols_sent=eligible_total * scenario.params.symbols_per_burst,
-        elapsed_s=stats.tallies.elapsed_s,
-        timings=timings,
-    )
-
-
 def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     """Batch Monte Carlo over the full scenario duration.
 
@@ -313,8 +305,7 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     z_bound, x_bounds = _click_bounds(qz_any, kx, eta_b)
     x_bound = float(x_bounds.max())
 
-    counts = np.zeros(len(TALLY_KEYS), np.int64)
-    discards = np.zeros(SIDEBAND + 1, np.int64)
+    totals = np.zeros(COUNT_ROW, np.int64)
     eligible_total = 0
     # eligible slots whose class uniform lies at or above each cell edge
     at_least = np.zeros(len(cell_edges), np.int64)
@@ -376,28 +367,24 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
 
         if z_cls.size:
             u_att = rng.random(z_cls.size)
-            bins = _bins(np.take(z_cum, z_cls, axis=1), u_att)
-            c, d = count_clicks(
-                CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z, bins, z_parity
+            totals += count_clicks(
+                CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z,
+                _bins(np.take(z_cum, z_cls, axis=1), u_att), z_parity,
             )
-            counts += c
-            discards += d
         if x_cls.size:
             u_att = rng.random(x_cls.size)
             cum = _click_cum(outcome_probs(model.x_table, x_cls, x_cos).T)
-            c, d = count_clicks(
+            totals += count_clicks(
                 CLASS_STATE[x_cls], CLASS_INTENSITY[x_cls], Basis.X,
                 _bins(cum, u_att), x_parity,
             )
-            counts += c
-            discards += d
         timings["attribution_s"] += clock() - t1
 
     # cells j and up hold the uniforms at or above cell edge j - 1
     sent = -np.diff([eligible_total * slots, *at_least, 0]).reshape(3, 2)
     elapsed = eligible_total * slots * scenario.params.symbol_period
-    stats = SiftResult.from_counts(counts, discards, sent, elapsed)
-    return _run_outcome(scenario, stats, eligible_total, timings)
+    stats = SiftResult.from_counts(totals, sent, elapsed)
+    return RunOutcome(stats, eligible_total, n_bursts, timings)
 
 
 def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
@@ -467,7 +454,7 @@ def run_simulation_reference(scenario: ScenarioConfig) -> RunOutcome:
         "event_chain_s": t2 - t1,
         "sift_s": clock() - t2,
     }
-    return _run_outcome(scenario, stats, int((~excluded_mask).sum()), timings)
+    return RunOutcome(stats, int((~excluded_mask).sum()), n_bursts, timings)
 
 
 def simulate_and_analyze(
@@ -482,11 +469,6 @@ def simulate_and_analyze(
     else:
         raise ValueError(f"unknown engine '{engine}'")
     t0 = time.perf_counter()
-    report = keyrate(
-        outcome.tallies,
-        scenario.params,
-        scenario.security,
-        symbols_sent=outcome.symbols_sent,
-    )
+    report = keyrate(outcome.tallies, scenario.params, scenario.security)
     outcome.timings["key_analysis_s"] = time.perf_counter() - t0
     return outcome, report

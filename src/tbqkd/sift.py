@@ -39,6 +39,8 @@ TALLY_KEYS = (
     "m_x_mu1",
     "m_x_mu2",
 )
+# (n, m) index pairs of TALLY_KEYS, one per basis and intensity
+TALLY_PAIRS = tuple((4 * b + k, 4 * b + k + 2) for b in range(2) for k in range(2))
 EXPORT_KEYS = TALLY_KEYS + ("elapsed_s",)
 
 _ZERO_SENT = ((0, 0), (0, 0), (0, 0))
@@ -46,6 +48,8 @@ _ZERO_SENT = ((0, 0), (0, 0), (0, 0))
 # what sift_rule makes of a click: SIFTED into a tally key, or a reason
 # to discard it
 SIFTED, CROSS_BASIS, OUTSIDE, SIDEBAND = range(4)
+# length of a count_clicks row: counts per TALLY_KEYS, then per reason
+COUNT_ROW = len(TALLY_KEYS) + SIDEBAND + 1
 
 
 def burst_parity(burst_idx: np.ndarray, block_bursts: int) -> np.ndarray:
@@ -92,12 +96,11 @@ _COMBO_SHAPE = (len(State), len(IntensityClass), len(Basis), len(Bin), 2)
 
 def _rule_table() -> np.ndarray:
     key, error, reason = sift_rule(*np.indices(_COMBO_SHAPE).reshape(5, -1))
-    n = len(TALLY_KEYS)
-    table = np.zeros((key.size, n + SIDEBAND + 1), dtype=np.int64)
+    table = np.zeros((key.size, COUNT_ROW), dtype=np.int64)
     rows = np.arange(key.size)
     table[rows[key >= 0], key[key >= 0]] = 1
     table[rows[error], key[error] + 2] = 1
-    table[rows, n + reason] = 1
+    table[rows, len(TALLY_KEYS) + reason] = 1
     return table
 
 
@@ -105,13 +108,12 @@ _RULE_TABLE = _rule_table()
 
 
 def count_clicks(state, intensity, detector, bin_, parity):
-    """Counts per TALLY_KEYS, and clicks per sift_rule reason, of an
-    array of clicks."""
+    """One row of counts for an array of clicks: per TALLY_KEYS, then
+    clicks per sift_rule reason."""
     combo = np.ravel_multi_index(
         (state, intensity, detector, bin_, parity), _COMBO_SHAPE
     )
-    totals = np.bincount(combo.ravel(), minlength=len(_RULE_TABLE)) @ _RULE_TABLE
-    return np.split(totals, [len(TALLY_KEYS)])
+    return np.bincount(combo.ravel(), minlength=len(_RULE_TABLE)) @ _RULE_TABLE
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,8 @@ class TallyCounts:
     elapsed_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for n_key, m_key in (
-            ("n_z_mu1", "m_z_mu1"),
-            ("n_z_mu2", "m_z_mu2"),
-            ("n_x_mu1", "m_x_mu1"),
-            ("n_x_mu2", "m_x_mu2"),
-        ):
+        for i, j in TALLY_PAIRS:
+            n_key, m_key = TALLY_KEYS[i], TALLY_KEYS[j]
             n, m = getattr(self, n_key), getattr(self, m_key)
             if not (0 <= m <= n):
                 raise DomainError(f"need 0 <= {m_key} <= {n_key}, got {m} > {n}")
@@ -211,23 +209,22 @@ class SiftResult:
     @classmethod
     def from_counts(
         cls,
-        counts: Sequence[int],
-        discards: Sequence[int],
+        totals: Sequence[int],
         sent_counts: Sequence[Sequence[int]],
         elapsed_s: float,
     ) -> "SiftResult":
-        """Result of count_clicks' counts and discards, and the sent
-        ledger."""
+        """Result of a count_clicks row, and the sent ledger."""
+        reasons = totals[len(TALLY_KEYS):]
         tallies = TallyCounts(
             sent_counts=tuple(tuple(int(v) for v in row) for row in sent_counts),
             elapsed_s=elapsed_s,
-            **{k: int(v) for k, v in zip(TALLY_KEYS, counts)},
+            **{k: int(v) for k, v in zip(TALLY_KEYS, totals)},
         )
         return cls(
             tallies=tallies,
-            discarded_cross_basis=int(discards[CROSS_BASIS]),
-            discarded_outside=int(discards[OUTSIDE]),
-            discarded_sideband=int(discards[SIDEBAND]),
+            discarded_cross_basis=int(reasons[CROSS_BASIS]),
+            discarded_outside=int(reasons[OUTSIDE]),
+            discarded_sideband=int(reasons[SIDEBAND]),
         )
 
 
@@ -263,9 +260,10 @@ def sift(
         np.array(clicks, dtype=np.int64).reshape(-1, 5).T
     )
     parity = burst_parity(burst, fringe_block_bursts)
-    counts, discards = count_clicks(state, intensity, detector, bins, parity)
     return SiftResult.from_counts(
-        counts, discards, sent_counts, len(sent) * symbol_period
+        count_clicks(state, intensity, detector, bins, parity),
+        sent_counts,
+        len(sent) * symbol_period,
     )
 
 

@@ -29,9 +29,9 @@ from tbqkd import (
     simulate_and_analyze,
 )
 from tbqkd.errors import ScheduleViolationError
-from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS
+from tbqkd.pipeline import CHUNK_BURSTS, REFERENCE_MAX_SLOTS, RunOutcome
 from tbqkd.protocol import Basis, IntensityClass, State
-from tbqkd.sift import SIDEBAND, TALLY_KEYS, SiftResult, count_clicks
+from tbqkd.sift import COUNT_ROW, TALLY_KEYS, SiftResult, count_clicks
 from tbqkd.slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
@@ -442,8 +442,7 @@ def per_slot_run(scenario):
     qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
     kx, eta_b = x_none_terms(model.x_table)
 
-    counts = np.zeros(len(TALLY_KEYS), np.int64)
-    discards = np.zeros(SIDEBAND + 1, np.int64)
+    totals = np.zeros(COUNT_ROW, np.int64)
     sent = np.zeros((3, 2), np.int64)
     eligible_total = 0
     for chunk, (rng, walk) in enumerate(zip(chunk_rngs, walks)):
@@ -475,16 +474,14 @@ def per_slot_run(scenario):
             bins = row_major_attribute_bins(
                 model.table(detector), c_sel, cos_b[rows], u_att
             )
-            c, d = count_clicks(
+            totals += count_clicks(
                 CLASS_STATE[c_sel], CLASS_INTENSITY[c_sel], detector, bins,
                 parity[rows],
             )
-            counts += c
-            discards += d
 
     elapsed = eligible_total * slots * scenario.params.symbol_period
-    stats = SiftResult.from_counts(counts, discards, sent, elapsed)
-    return pipeline._run_outcome(scenario, stats, eligible_total, {})
+    stats = SiftResult.from_counts(totals, sent, elapsed)
+    return RunOutcome(stats, eligible_total, n_bursts)
 
 
 def detector_scenario(**changes):

@@ -26,6 +26,7 @@ from tbqkd.sift import (
     SIDEBAND,
     SIFTED,
     TALLY_KEYS,
+    TALLY_PAIRS,
     count_clicks,
     sift_rule,
 )
@@ -212,7 +213,9 @@ class TestSiftRule:
             mu = "mu1" if intensity == IntensityClass.Signal else "mu2"
             name = f"n_{detector.name.lower()}_{mu}"
             assert TALLY_KEYS[key[i]] == name, label
-            assert TALLY_KEYS[key[i] + 2] == "m" + name[1:], label
+            m_index = dict(TALLY_PAIRS)[key[i]]
+            assert m_index == key[i] + 2, label
+            assert TALLY_KEYS[m_index] == "m" + name[1:], label
 
     def test_counts_follow_the_rule_and_account_for_every_click(self):
         rng = np.random.default_rng(4)
@@ -224,7 +227,7 @@ class TestSiftRule:
             rng.integers(0, 4, n),
             rng.integers(0, 2, n),
         )
-        counts, discards = count_clicks(*clicks)
+        counts, discards = np.split(count_clicks(*clicks), [len(TALLY_KEYS)])
         key, error, reason = sift_rule(*clicks)
         want = np.zeros(len(TALLY_KEYS), dtype=np.int64)
         np.add.at(want, key[key >= 0], 1)
