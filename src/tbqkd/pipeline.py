@@ -11,10 +11,13 @@ Two engines produce tallies for a scenario:
   and from outcome_probs at the burst's phase on the interferometer.
   Clicks are rare, so the class of a slot is looked up only where its
   die falls below the largest click probability of any class at any
-  phase (a candidate); the sent ledger comes from counting class
-  uniforms against the cumulative priors at the (state, intensity) cell
-  edges. Classes, clicks and tallies are those of evaluating every slot,
-  from the same RNG stream.
+  phase (a candidate). A chunk's class uniforms, Z dice and X dice are
+  three consecutive runs of its stream, drawn block by block through
+  one cursor per run; only the candidates' dice and class uniforms
+  outlive a block, and the sent ledger is counted from each block of
+  class uniforms against the cumulative priors at the (state,
+  intensity) cell edges. Classes, clicks and tallies are those of
+  evaluating every slot, from the same RNG stream.
 
 - run_simulation_reference: the event-by-event twin built from the
   object-level ops (serialize, modulate, transmit, interfere, detect),
@@ -74,6 +77,10 @@ CHUNK_BURSTS = 32768  # fixed: results must not depend on run partitioning
 # slots per block of uniforms, which stays in cache between its draw and
 # its comparisons
 BLOCK_SLOTS = 1 << 15
+
+# X first clicks attributed per outcome_probs call, which keeps each of
+# its temporaries under the allocator's mmap threshold (128 KB in glibc)
+ATTRIBUTION_ROWS = 2048
 
 REFERENCE_MAX_SLOTS = 5_000_000
 
@@ -191,32 +198,12 @@ def _classes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return below.sum(axis=0, dtype=np.uint8)
 
 
-def _candidates(
-    rng: np.random.Generator,
-    dice: np.ndarray,
-    hits: np.ndarray,
-    rows: int,
-    bound: float,
-    timings: dict[str, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat slot index and die of each slot, of `rows` bursts of dice,
-    whose die falls below bound. The dice are drawn block by block into
-    the reused block buffer dice, consecutive draws being the stream of
-    one draw of every row; hits is its boolean scratch."""
-    clock = time.perf_counter
-    block_rows, slots = dice.shape
-    found_slot, found_die = [], []
-    for a in range(0, rows, block_rows):
-        t0 = clock()
-        d = dice[: min(block_rows, rows - a)]
-        rng.random(out=d)
-        t1 = clock()
-        cand = np.flatnonzero(np.less(d, bound, out=hits[: len(d)]))
-        found_slot.append(cand + a * slots)
-        found_die.append(d.reshape(-1)[cand])
-        timings["uniform_fills_s"] += t1 - t0
-        timings["candidates_s"] += clock() - t1
-    return np.concatenate(found_slot), np.concatenate(found_die)
+def _cursor(rng: np.random.Generator, offset: int) -> np.random.Generator:
+    """A generator on rng's stream from `offset` draws past rng's current
+    position, built from its state alone (so no OS entropy is read)."""
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = rng.bit_generator.state
+    return np.random.Generator(bit_gen.advance(offset))
 
 
 def _first_clicks(burst: np.ndarray, excluded: np.ndarray) -> np.ndarray:
@@ -252,20 +239,26 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     Deterministic for a given config and seed: the root RNG is split
     into one stream for the phase walk and one per fixed-size burst
     chunk, so the realization does not depend on how work is iterated.
-    Each chunk draws, in this order, the class, Z and X uniforms of all
-    its slots and then the attribution uniforms of the bursts whose Z,
-    then X, detector clicked. Uniforms are drawn in blocks of about
-    BLOCK_SLOTS slots, in whole bursts, which continue one stream: the
-    sent ledger is counted on each block of class uniforms while it is
-    in cache, and the dice pass through one reused block buffer. Only
-    candidate slots, whose die falls below the bound of _click_bounds,
-    get a class and the exact test `die < click probability of the
-    class`; every other slot cannot click. The phase, fringe parity and
-    servo eligibility of a burst are evaluated only where a candidate or
-    a first click needs them, and on the X detector only for candidates
-    below the bound of their own class. The stream and every tally are
-    therefore those of evaluating the class and the click test of every
-    slot.
+    Each chunk's stream holds, in this order, the class, Z and X
+    uniforms of all its slots and then the attribution uniforms of the
+    bursts whose Z, then X, detector clicked. Generator.random consumes
+    one 64-bit draw per double, so the three runs of nb * slots uniforms
+    of a chunk of nb bursts start at draws 0, nb * slots and
+    2 * nb * slots: the chunk's generator draws the first run, and a
+    _cursor starts at each of the other two. Each block of about
+    BLOCK_SLOTS slots, in whole bursts, takes its three uniforms back to
+    back: its sent ledger is counted, less its servo-excluded bursts,
+    and its candidate slots, whose die falls below the bound of
+    _click_bounds, keep their die and class uniform. After the chunk's
+    last block only candidates get a class and the exact test `die <
+    click probability of the class`; every other slot cannot click.
+    The phase, fringe parity and servo eligibility of a burst are
+    evaluated only where a candidate or a first click needs them, and
+    on the X detector only for candidates below the bound of their own
+    class. The attribution uniforms continue the X cursor, and X first
+    clicks are attributed ATTRIBUTION_ROWS at a time. The stream and
+    every tally are therefore those of evaluating the class and the
+    click test of every slot.
 
     timings holds the seconds spent building the link model, walking
     the phase, filling uniforms, evaluating candidates and first clicks,
@@ -309,13 +302,13 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     eligible_total = 0
     # eligible slots whose class uniform lies at or above each cell edge
     at_least = np.zeros(len(cell_edges), np.int64)
-    # buffers reused by every chunk, so that the allocator does not map
-    # and unmap them chunk by chunk: the class uniforms of a chunk, and
-    # one block of dice
+    # one block of class uniforms and one of dice, with a boolean
+    # scratch, reused by every block of every chunk so that the
+    # allocator does not map and unmap them
     block_rows = max(1, BLOCK_SLOTS // slots)
-    u_cls_buf = np.empty((min(CHUNK_BURSTS, n_bursts), slots))
-    dice = np.empty((min(block_rows, n_bursts), slots))
-    hits = np.empty(dice.shape, dtype=bool)
+    u_cls = np.empty((min(block_rows, n_bursts), slots))
+    dice = np.empty(u_cls.shape)
+    hits = np.empty(u_cls.shape, dtype=bool)
 
     for chunk, rng in enumerate(chunk_rngs):
         t0 = clock()
@@ -323,36 +316,51 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         timings["drift_walk_s"] += clock() - t0
         lo = chunk * CHUNK_BURSTS
         nb = walk.size
-        u_cls = u_cls_buf[:nb]
-        for a in range(0, nb, block_rows):
-            t0 = clock()
-            u_block = u_cls[a : a + block_rows]
-            rng.random(out=u_block)
-            t1 = clock()
-            at_least += _count_at_least(u_block, cell_edges, hits[: len(u_block)])
-            timings["uniform_fills_s"] += t1 - t0
-            timings["ledger_s"] += clock() - t1
         t0 = clock()
         excluded = _servo_rows(scenario, starts, lo, lo + nb)
-        if excluded.size:
-            u_out = u_cls[excluded]
-            at_least -= _count_at_least(u_out, cell_edges, np.empty(u_out.shape, bool))
         eligible_total += nb - excluded.size
         timings["ledger_s"] += clock() - t0
-
-        z_slot, z_die = _candidates(rng, dice, hits, nb, z_bound, timings)
-        x_slot, x_die = _candidates(rng, dice, hits, nb, x_bound, timings)
+        # the class uniforms, Z dice and X dice of the chunk are three
+        # consecutive runs of nb * slots draws of its stream; rng itself
+        # draws the first
+        z_rng, x_rng = (_cursor(rng, k * nb * slots) for k in (1, 2))
+        # (slot, die, class uniform) of the candidates of each block
+        z_found, x_found = [], []
+        for a in range(0, nb, block_rows):
+            rows = min(block_rows, nb - a)
+            u, h = u_cls[:rows], hits[:rows]
+            t0 = clock()
+            rng.random(out=u)
+            t1 = clock()
+            at_least += _count_at_least(u, cell_edges, h)
+            if excluded.size:
+                out = excluded[slice(*np.searchsorted(excluded, (a, a + rows)))] - a
+                at_least -= _count_at_least(u[out], cell_edges, h[: out.size])
+            timings["uniform_fills_s"] += t1 - t0
+            timings["ledger_s"] += clock() - t1
+            for die_rng, bound, found in (
+                (z_rng, z_bound, z_found), (x_rng, x_bound, x_found)
+            ):
+                t0 = clock()
+                d = dice[:rows]
+                die_rng.random(out=d)
+                t1 = clock()
+                cand = np.flatnonzero(np.less(d, bound, out=h))
+                found.append((cand + a * slots, d.ravel()[cand], u.ravel()[cand]))
+                timings["uniform_fills_s"] += t1 - t0
+                timings["candidates_s"] += clock() - t1
 
         t0 = clock()
-        u_flat = u_cls.reshape(-1)
-        cls = _classes(u_flat[z_slot], class_edges)
+        z_slot, z_die, z_u = map(np.concatenate, zip(*z_found))
+        cls = _classes(z_u, class_edges)
         click = np.flatnonzero(z_die < qz_any[cls])
         burst = z_slot[click] // slots
         first = _first_clicks(burst, excluded)
         z_cls = cls[click[first]]
         z_parity = burst_parity(lo + burst[first], block)
 
-        cls = _classes(u_flat[x_slot], class_edges)
+        x_slot, x_die, x_u = map(np.concatenate, zip(*x_found))
+        cls = _classes(x_u, class_edges)
         # candidates above their own class's bound cannot click
         keep = np.flatnonzero(x_die < x_bounds[cls])
         cls, x_die = cls[keep], x_die[keep]
@@ -365,19 +373,20 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         t1 = clock()
         timings["candidates_s"] += t1 - t0
 
-        if z_cls.size:
-            u_att = rng.random(z_cls.size)
-            totals += count_clicks(
-                CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z,
-                _bins(np.take(z_cum, z_cls, axis=1), u_att), z_parity,
-            )
-        if x_cls.size:
-            u_att = rng.random(x_cls.size)
-            cum = _click_cum(outcome_probs(model.x_table, x_cls, x_cos).T)
-            totals += count_clicks(
-                CLASS_STATE[x_cls], CLASS_INTENSITY[x_cls], Basis.X,
-                _bins(cum, u_att), x_parity,
-            )
+        # the attribution uniforms continue the X dice's run of the stream
+        totals += count_clicks(
+            CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z,
+            _bins(np.take(z_cum, z_cls, axis=1), x_rng.random(z_cls.size)),
+            z_parity,
+        )
+        bins = np.empty(x_cls.size, np.int64)
+        for a in range(0, x_cls.size, ATTRIBUTION_ROWS):
+            part = slice(a, a + ATTRIBUTION_ROWS)
+            cum = _click_cum(outcome_probs(model.x_table, x_cls[part], x_cos[part]).T)
+            bins[part] = _bins(cum, x_rng.random(cum.shape[1]))
+        totals += count_clicks(
+            CLASS_STATE[x_cls], CLASS_INTENSITY[x_cls], Basis.X, bins, x_parity
+        )
         timings["attribution_s"] += clock() - t1
 
     # cells j and up hold the uniforms at or above cell edge j - 1

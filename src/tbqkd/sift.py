@@ -140,8 +140,12 @@ class TallyCounts:
         for i, j in TALLY_PAIRS:
             n_key, m_key = TALLY_KEYS[i], TALLY_KEYS[j]
             n, m = getattr(self, n_key), getattr(self, m_key)
-            if not (0 <= m <= n):
-                raise DomainError(f"need 0 <= {m_key} <= {n_key}, got {m} > {n}")
+            if m < 0:
+                raise DomainError(f"need 0 <= {m_key}, got {m_key} = {m}")
+            if m > n:
+                raise DomainError(
+                    f"need {m_key} <= {n_key}, got {m_key} = {m} > {n_key} = {n}"
+                )
         if len(self.sent_counts) != 3 or any(len(r) != 2 for r in self.sent_counts):
             raise DomainError("sent_counts must be 3 states x 2 intensities")
         if any(v < 0 for row in self.sent_counts for v in row):

@@ -244,8 +244,6 @@ class TestBoundValidity:
     @pytest.mark.parametrize("eta", [1.0, 0.5, 0.1, 0.02])
     @pytest.mark.parametrize("dark", [0.0, 1e-5, 1e-3])
     def test_brackets_poisson_truth(self, eta, dark):
-        if eta == 1.0 and dark == 0.0:
-            pytest.skip("covered by the tightness test below")
         tally, s0_true, s1_true = poisson_mixture_tally(eta, dark, 10**16, PARAMS)
         b = decoy_bounds(tally, PARAMS, SEC)
         slack = 1e-6 * tally.n_z  # concentration widths at this sample size

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,19 @@ class TestBatchEngine:
             want = np.flatnonzero(servo_excluded(sc, starts, np.arange(lo, hi)))
             got = pipeline._servo_rows(sc, starts, lo, hi)
             np.testing.assert_array_equal(got, want)
+
+    def test_working_set_is_a_few_blocks(self):
+        # the engine holds a block of each uniform stream, the candidates
+        # of one chunk and attribution slices; a buffer sized by the chunk
+        # (32768 bursts x 20 slots x 8 B = 5.2 MB) would break the bound
+        sc = load_preset("link-7db").replace(duration=2.0)
+        tracemalloc.start()
+        try:
+            run_simulation(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +531,12 @@ def tail_block_scenario():
     return sc
 
 
+def attribution_slices_scenario():
+    """Two chunks, the first with several slices of X first clicks to
+    attribute (over 12000 at 0 dB and efficiency 0.5)."""
+    return detector_scenario(efficiency=0.5).with_loss(0.0).replace(duration=1.0)
+
+
 IDENTITY_SCENARIOS = {
     "small": small_scenario,
     "drift_servo": lambda: drifting_scenario(duration=0.5),
@@ -526,6 +546,7 @@ IDENTITY_SCENARIOS = {
         efficiency=0.0, dark_prob_per_ns=1e-6
     ),
     "0db_eff0.5": lambda: detector_scenario(efficiency=0.5).with_loss(0.0),
+    "attribution_slices": attribution_slices_scenario,
     "gap_bits2": lambda: matched_framing(0, 2),
     "fringe_block1": lambda: small_scenario(fringe_block_x_symbols=1),
     "sparse_cells": lambda: small_scenario(
@@ -555,6 +576,21 @@ class TestCandidateEvaluation:
         assert fast.eligible_bursts == slow.eligible_bursts
         assert fast.symbols_sent == slow.symbols_sent
         assert fast == slow  # timings take no part in equality
+
+    def test_x_clicks_span_several_attribution_slices(self, monkeypatch):
+        rows = []
+        inner = pipeline.outcome_probs
+
+        def counting(table, cls, cos_t):
+            rows.append(len(cls))
+            return inner(table, cls, cos_t)
+
+        monkeypatch.setattr(pipeline, "outcome_probs", counting)
+        sc = attribution_slices_scenario()
+        run_simulation(sc)
+        assert sc.n_bursts > CHUNK_BURSTS
+        assert rows[:2] == [pipeline.ATTRIBUTION_ROWS] * 2
+        assert max(rows) == pipeline.ATTRIBUTION_ROWS
 
     def test_click_bounds_hold_at_every_phase(self, identity_scenario):
         for sc in (

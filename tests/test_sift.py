@@ -283,8 +283,14 @@ class TestQber:
 
 class TestTallyCounts:
     def test_errors_cannot_exceed_detections(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(
+            DomainError, match=r"need m_z_mu1 <= n_z_mu1, got m_z_mu1 = 6 > n_z_mu1 = 5"
+        ):
             TallyCounts(n_z_mu1=5, m_z_mu1=6)
+
+    def test_errors_cannot_be_negative(self):
+        with pytest.raises(DomainError, match=r"need 0 <= m_x_mu2, got m_x_mu2 = -1$"):
+            TallyCounts(n_x_mu2=5, m_x_mu2=-1)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
