@@ -45,9 +45,10 @@ class ChannelModel:
     length_km: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.alpha_db_per_km > 0.0):
+        # an infinite alpha over 0 km makes the transmission NaN
+        if not (0.0 < self.alpha_db_per_km < math.inf):
             raise DomainError(
-                f"alpha_db_per_km must be > 0, got {self.alpha_db_per_km}"
+                f"alpha_db_per_km must be finite and > 0, got {self.alpha_db_per_km}"
             )
         if self.loss_db is None and self.length_km is None:
             raise DomainError("give loss_db or length_km")

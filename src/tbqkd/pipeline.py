@@ -4,11 +4,13 @@ Two engines produce tallies for a scenario:
 
 - run_simulation: the batch engine. Each chunk of bursts takes three
   uniforms per slot (class, Z die, X die); a slot's detector clicks when
-  its die falls below the closed-form click probability of its class
-  (slotmodel), and each burst's first click per detector is attributed
+  its die falls below the closed-form click probability of its class,
+  1 - K exp(-etaB cos theta) from slotmodel.none_terms (etaB = 0 on the
+  direct path), and each burst's first click per detector is attributed
   to a bin with the same race formulas the analytic oracle integrates:
-  from one row per class on the direct path, which has no phase term,
-  and from outcome_probs at the burst's phase on the interferometer.
+  from one row per class on a detector with no phase term (the direct
+  path), and from outcome_probs at the burst's phase otherwise. One
+  pass serves both detectors.
   Clicks are rare, so the class of a slot is looked up only where its
   die falls below the largest click probability of any class at any
   phase (a candidate). A chunk's class uniforms, Z dice and X dice are
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,20 +58,22 @@ from .keyrate import KeyRateReport, keyrate
 from .link import detect_x, detect_z, receiver_basis, transmit
 from .ppg import encode_state, serialize_word
 from .protocol import Basis, State, Symbol, sample_symbol
-from .sift import COUNT_ROW, SiftResult, TallyCounts, count_clicks, sift
+from .sift import (
+    COUNT_ROW, SiftResult, TallyCounts, burst_parity, count_clicks, sift
+)
 from .slotmodel import (
     CLASS_INTENSITY,
     CLASS_STATE,
     COL_NONE,
     COL_OUTSIDE,
-    burst_parity,
+    GateTable,
     build_link_model,
     fringe_block_bursts,
+    none_terms,
     outcome_probs,
     servo_excluded,
     servo_starts,
     static_outcome,
-    x_none_terms,
 )
 from .source import modulate
 
@@ -115,9 +119,8 @@ def _theta_walk(
     servo_starts, yielded in CHUNK_BURSTS pieces. The normal draws and
     the running sum carried across pieces are those of one whole-run
     walk, so memory stays flat in duration while the realization does
-    not change. The runs between resets in a piece are the padded rows
-    of one array, whose cumsum along the rows makes the additions of one
-    cumsum per run; evenly spaced resets keep the padding small."""
+    not change. Each piece is summed in _walk_piece, so only the walk
+    and its last value outlive a yield."""
     n = scenario.n_bursts
     sigma = scenario.interferometer.drift_sigma
     step = sigma * math.sqrt(scenario.params.burst_period)
@@ -127,20 +130,28 @@ def _theta_walk(
         if sigma == 0.0:
             yield np.zeros(hi - lo)
             continue
-        steps = rng.normal(0.0, step, hi - lo)
-        steps[0] += carry
-        cuts = resets[np.searchsorted(resets, lo) : np.searchsorted(resets, hi)] - lo
-        if cuts.size:
-            steps[cuts] = 0.0
-            length = np.diff(cuts, prepend=0, append=hi - lo)
-            in_run = np.arange(length.max()) < length[:, None]
-            rows = np.zeros(in_run.shape)
-            rows[in_run] = steps
-            walk = np.cumsum(rows, axis=1)[in_run]
-        else:
-            walk = np.cumsum(steps)
+        walk = _walk_piece(
+            rng.normal(0.0, step, hi - lo), carry,
+            resets[slice(*np.searchsorted(resets, (lo, hi)))] - lo,
+        )
         carry = walk[-1]
         yield walk
+
+
+def _walk_piece(steps: np.ndarray, carry: float, cuts: np.ndarray) -> np.ndarray:
+    """Running sum of steps from carry, restarted from 0 at each
+    position of cuts (increasing). The runs between cuts are the padded
+    rows of one array, whose cumsum along the rows makes the additions
+    of one cumsum per run; evenly spaced resets keep the padding small."""
+    steps[0] += carry
+    if cuts.size == 0:
+        return np.cumsum(steps)
+    steps[cuts] = 0.0
+    length = np.diff(cuts, prepend=0, append=steps.size)
+    in_run = np.arange(length.max()) < length[:, None]
+    rows = np.zeros(in_run.shape)
+    rows[in_run] = steps
+    return np.cumsum(rows, axis=1)[in_run]
 
 
 def _click_cum(probs: np.ndarray) -> np.ndarray:
@@ -166,27 +177,24 @@ def _count_at_least(u: np.ndarray, edges: np.ndarray, hits: np.ndarray) -> list[
     return [np.count_nonzero(np.greater_equal(u, e, out=hits)) for e in edges]
 
 
-def _x_click_prob(
-    kx: np.ndarray, eta_b: np.ndarray, cls: np.ndarray, cos_t: np.ndarray
-) -> np.ndarray:
-    """Per-slot X-detector click probability of class cls at phase cos_t."""
-    return 1.0 - kx[cls] * np.exp(-eta_b[cls] * cos_t)
+def _click_bounds(k: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
+    """Upper bound, per class, on a detector's per-slot click
+    probability 1 - K exp(-etaB cos(theta)), from its none_terms K and
+    etaB. The bounds hold at every phase, since exp(-etaB cos) >=
+    exp(-|etaB|) for cos in [-1, 1]; they are widened by a few ulps of 1
+    for the rounding of the exact test. A die at or above the bound of a
+    slot's class cannot click."""
+    return 1.0 - k * np.exp(-np.abs(eta_b)) + 8 * np.finfo(float).eps
 
 
-def _click_bounds(
-    qz_any: np.ndarray, kx: np.ndarray, eta_b: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Upper bounds on the per-slot click probability: one for every
-    class on the Z detector, and one per class on the X detector.
-
-    The X bounds hold at every phase, since exp(-etaB cos) >= exp(-|etaB|)
-    for cos in [-1, 1]; they are widened by a few ulps of 1 for the
-    rounding of _x_click_prob. A die at or above a bound cannot click
-    (on X, in a slot of that class).
-    """
-    z_bound = float(qz_any.max())
-    x_bounds = 1.0 - kx * np.exp(-np.abs(eta_b)) + 8 * np.finfo(float).eps
-    return z_bound, x_bounds
+def _cum_source(table: GateTable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The _click_cum columns of a detector's clicks of classes cls at
+    phases cos_t: one static row per class when the detector's table has
+    no phase term, else outcome_probs at each click's phase."""
+    if table.mean_cos.any():
+        return lambda cls, cos_t: _click_cum(outcome_probs(table, cls, cos_t).T)
+    static = _click_cum(static_outcome(table).T)
+    return lambda cls, cos_t: np.take(static, cls, axis=1)
 
 
 def _classes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -248,17 +256,17 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     _cursor starts at each of the other two. Each block of about
     BLOCK_SLOTS slots, in whole bursts, takes its three uniforms back to
     back: its sent ledger is counted, less its servo-excluded bursts,
-    and its candidate slots, whose die falls below the bound of
-    _click_bounds, keep their die and class uniform. After the chunk's
-    last block only candidates get a class and the exact test `die <
-    click probability of the class`; every other slot cannot click.
-    The phase, fringe parity and servo eligibility of a burst are
-    evaluated only where a candidate or a first click needs them, and
-    on the X detector only for candidates below the bound of their own
-    class. The attribution uniforms continue the X cursor, and X first
-    clicks are attributed ATTRIBUTION_ROWS at a time. The stream and
-    every tally are therefore those of evaluating the class and the
-    click test of every slot.
+    and its candidate slots, whose die falls below the largest of its
+    detector's _click_bounds, keep their die and class uniform. After
+    the chunk's last block one pass per detector, Z then X, gives only
+    the candidates a class; those below the bound of their own class
+    get the phase and fringe parity of their burst and the exact test
+    `die < 1 - K[c] exp(-etaB[c] cos theta)` on the detector's
+    none_terms, and every other slot cannot click. The first clicks of
+    eligible bursts are attributed ATTRIBUTION_ROWS at a time, with
+    attribution uniforms that continue the X cursor, and tallied. The
+    stream and every tally are therefore those of evaluating the class
+    and the click test of every slot.
 
     timings holds the seconds spent building the link model, walking
     the phase, filling uniforms, evaluating candidates and first clicks,
@@ -289,14 +297,16 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
     # (state, intensity) ledger cell is two consecutive classes, and cell
     # j >= 1 starts at the upper edge of class 2j - 1
     cell_edges = class_edges[1::2]
-    static_z = static_outcome(model.z_table)
-    qz_any = 1.0 - static_z[:, COL_NONE]
-    # the direct path has no phase term: one row per class serves every
-    # Z click
-    z_cum = _click_cum(static_z.T)
-    kx, eta_b = x_none_terms(model.x_table)
-    z_bound, x_bounds = _click_bounds(qz_any, kx, eta_b)
-    x_bound = float(x_bounds.max())
+    # per detector: P(none | class c, phase theta) = K[c] exp(-etaB[c]
+    # cos theta), the per-class click bounds and the source of the
+    # _click_cum columns of its first clicks
+    detectors = []
+    for basis in Basis:
+        table = model.table(basis)
+        k, eta_b = none_terms(table)
+        detectors.append((basis, k, eta_b, _click_bounds(k, eta_b), _cum_source(table)))
+    # the candidate bound of a die is the largest of its detector's bounds
+    die_bounds = [float(bounds.max()) for *_, bounds, _ in detectors]
 
     totals = np.zeros(COUNT_ROW, np.int64)
     eligible_total = 0
@@ -323,9 +333,10 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
         # the class uniforms, Z dice and X dice of the chunk are three
         # consecutive runs of nb * slots draws of its stream; rng itself
         # draws the first
-        z_rng, x_rng = (_cursor(rng, k * nb * slots) for k in (1, 2))
-        # (slot, die, class uniform) of the candidates of each block
-        z_found, x_found = [], []
+        cursors = [_cursor(rng, k * nb * slots) for k in (1, 2)]
+        # (slot, die, class uniform) of the candidates of each block, per
+        # detector
+        found = ([], [])
         for a in range(0, nb, block_rows):
             rows = min(block_rows, nb - a)
             u, h = u_cls[:rows], hits[:rows]
@@ -338,56 +349,41 @@ def run_simulation(scenario: ScenarioConfig) -> RunOutcome:
                 at_least -= _count_at_least(u[out], cell_edges, h[: out.size])
             timings["uniform_fills_s"] += t1 - t0
             timings["ledger_s"] += clock() - t1
-            for die_rng, bound, found in (
-                (z_rng, z_bound, z_found), (x_rng, x_bound, x_found)
-            ):
+            for die_rng, bound, own in zip(cursors, die_bounds, found):
                 t0 = clock()
                 d = dice[:rows]
                 die_rng.random(out=d)
                 t1 = clock()
                 cand = np.flatnonzero(np.less(d, bound, out=h))
-                found.append((cand + a * slots, d.ravel()[cand], u.ravel()[cand]))
+                own.append((cand + a * slots, d.ravel()[cand], u.ravel()[cand]))
                 timings["uniform_fills_s"] += t1 - t0
                 timings["candidates_s"] += clock() - t1
 
-        t0 = clock()
-        z_slot, z_die, z_u = map(np.concatenate, zip(*z_found))
-        cls = _classes(z_u, class_edges)
-        click = np.flatnonzero(z_die < qz_any[cls])
-        burst = z_slot[click] // slots
-        first = _first_clicks(burst, excluded)
-        z_cls = cls[click[first]]
-        z_parity = burst_parity(lo + burst[first], block)
-
-        x_slot, x_die, x_u = map(np.concatenate, zip(*x_found))
-        cls = _classes(x_u, class_edges)
-        # candidates above their own class's bound cannot click
-        keep = np.flatnonzero(x_die < x_bounds[cls])
-        cls, x_die = cls[keep], x_die[keep]
-        burst = x_slot[keep] // slots
-        parity = burst_parity(lo + burst, block)
-        cos_t = np.cos(math.pi * parity + walk[burst])
-        click = np.flatnonzero(x_die < _x_click_prob(kx, eta_b, cls, cos_t))
-        first = click[_first_clicks(burst[click], excluded)]
-        x_cls, x_cos, x_parity = cls[first], cos_t[first], parity[first]
-        t1 = clock()
-        timings["candidates_s"] += t1 - t0
-
-        # the attribution uniforms continue the X dice's run of the stream
-        totals += count_clicks(
-            CLASS_STATE[z_cls], CLASS_INTENSITY[z_cls], Basis.Z,
-            _bins(np.take(z_cum, z_cls, axis=1), x_rng.random(z_cls.size)),
-            z_parity,
-        )
-        bins = np.empty(x_cls.size, np.int64)
-        for a in range(0, x_cls.size, ATTRIBUTION_ROWS):
-            part = slice(a, a + ATTRIBUTION_ROWS)
-            cum = _click_cum(outcome_probs(model.x_table, x_cls[part], x_cos[part]).T)
-            bins[part] = _bins(cum, x_rng.random(cum.shape[1]))
-        totals += count_clicks(
-            CLASS_STATE[x_cls], CLASS_INTENSITY[x_cls], Basis.X, bins, x_parity
-        )
-        timings["attribution_s"] += clock() - t1
+        for (basis, k, eta_b, bounds, cum_source), own in zip(detectors, found):
+            t0 = clock()
+            slot, die, u = map(np.concatenate, zip(*own))
+            cls = _classes(u, class_edges)
+            # candidates above their own class's bound cannot click
+            keep = np.flatnonzero(die < bounds[cls])
+            cls, die, burst = cls[keep], die[keep], slot[keep] // slots
+            parity = burst_parity(lo + burst, block)
+            cos_t = np.cos(math.pi * parity + walk[burst])
+            click = np.flatnonzero(die < 1.0 - k[cls] * np.exp(-eta_b[cls] * cos_t))
+            first = click[_first_clicks(burst[click], excluded)]
+            cls, cos_t, parity = cls[first], cos_t[first], parity[first]
+            t1 = clock()
+            timings["candidates_s"] += t1 - t0
+            # the attribution uniforms continue the X dice's run of the
+            # stream, Z first clicks first
+            bins = np.empty(cls.size, np.int64)
+            for a in range(0, cls.size, ATTRIBUTION_ROWS):
+                part = slice(a, a + ATTRIBUTION_ROWS)
+                cum = cum_source(cls[part], cos_t[part])
+                bins[part] = _bins(cum, cursors[1].random(cum.shape[1]))
+            totals += count_clicks(
+                CLASS_STATE[cls], CLASS_INTENSITY[cls], basis, bins, parity
+            )
+            timings["attribution_s"] += clock() - t1
 
     # cells j and up hold the uniforms at or above cell edge j - 1
     sent = -np.diff([eligible_total * slots, *at_least, 0]).reshape(3, 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,11 @@ class ProtocolParams:
                 raise DomainError(f"{name} must lie strictly in (0, 1), got {p}")
         if not (self.symbol_period > 0.0):
             raise DomainError(f"symbol_period must be positive, got {self.symbol_period}")
-        if self.symbols_per_burst < 1:
-            raise DomainError(
-                f"symbols_per_burst must be >= 1, got {self.symbols_per_burst}"
-            )
+        # the engines shape their arrays with it: a float or a bool would
+        # fail only mid-run
+        slots = self.symbols_per_burst
+        if isinstance(slots, bool) or not isinstance(slots, numbers.Integral) or slots < 1:
+            raise DomainError(f"symbols_per_burst must be an integer >= 1, got {slots!r}")
         burst = self.symbols_per_burst * self.symbol_period
         if not (burst <= self.burst_period < math.inf):
             raise DomainError(

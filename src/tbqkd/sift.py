@@ -107,6 +107,13 @@ def _rule_table() -> np.ndarray:
 _RULE_TABLE = _rule_table()
 
 
+def count_rows(state, intensity, detector) -> np.ndarray:
+    """The count_clicks row of a click of each (state, intensity,
+    detector), which broadcast to a shape s, per bin and fringe parity:
+    shape (*s, len(Bin), 2, COUNT_ROW)."""
+    return _RULE_TABLE.reshape(*_COMBO_SHAPE, -1)[state, intensity, detector]
+
+
 def count_clicks(state, intensity, detector, bin_, parity):
     """One row of counts for an array of clicks: per TALLY_KEYS, then
     clicks per sift_rule reason."""

@@ -29,7 +29,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .link import DetectorModel, bin_regions
 from .protocol import Basis, Bin, IntensityClass, ProtocolParams, State
-from .sift import _COMBO_SHAPE, _RULE_TABLE, TALLY_KEYS, burst_parity
+from .sift import TALLY_KEYS, burst_parity, count_rows
 
 N_CLASSES = 12
 # outcome columns: the Bin value of a click, then no click
@@ -407,9 +407,7 @@ def _key_weights(detector: Basis) -> np.ndarray:
     """Tally keys of a click on the detector under sift's rule table, as
     0/1 weights of shape (2, N_CLASSES, 4, len(TALLY_KEYS)): fringe
     parity, class, outcome column (early..outside) and key."""
-    rules = _RULE_TABLE.reshape(*_COMBO_SHAPE, -1)[
-        CLASS_STATE, CLASS_INTENSITY, detector
-    ]
+    rules = count_rows(CLASS_STATE, CLASS_INTENSITY, detector)
     keys = rules[..., : len(TALLY_KEYS)].transpose(2, 0, 1, 3)
     return keys.astype(np.float64, order="C")
 
@@ -430,9 +428,10 @@ def _class_key_probs(
     return mass.ravel() @ weights.reshape(2, -1, len(TALLY_KEYS))
 
 
-def x_none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class no-click factorization on the interferometer detector:
-    P(none | c, theta) = K[c] * exp(-etaB[c] * cos(theta))."""
+def none_terms(table: GateTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class no-click factorization on a detector: P(none | c,
+    theta) = K[c] * exp(-etaB[c] * cos(theta)), with etaB = 0 on the
+    direct path, whose table has no phase term."""
     k = np.exp(-table.lam_dark - table.eta * table.mean_const.sum(axis=0))
     eta_b = table.eta * table.mean_cos.sum(axis=0)
     return k, eta_b
@@ -458,7 +457,7 @@ def _x_key_probs(
     table = model.x_table
     priors = model.priors.reshape(-1, N_CLASSES)
     n_sc = priors.shape[0]
-    k_fac, eta_b = (v.reshape(n_sc, N_CLASSES) for v in x_none_terms(table))
+    k_fac, eta_b = (v.reshape(n_sc, N_CLASSES) for v in none_terms(table))
     phased = table.mean_cos.any(axis=0).reshape(n_sc, N_CLASSES).any(axis=0)
     # per scenario, the no-click mass of the classes with a flat fringe,
     # and that of each phased class with its eta_b
@@ -737,13 +736,14 @@ def grouped_expected_tallies(
             x_sums[i : i + step, [k for k, *_ in parts]] += sums
 
     static_z = static_outcome(model.z_table).reshape(len(scenarios), N_CLASSES, -1)
+    k_z = none_terms(model.z_table)[0].reshape(len(scenarios), N_CLASSES)
     priors = model.priors.reshape(len(scenarios), N_CLASSES)
     symbols_sent = eligible_total * slots
     out = []
     for i, sc in enumerate(scenarios):
         x_mean, x_sq = x_sums[i, 0]
         x_shift = (x_sums[i, 1, 0] - x_sums[i, 2, 0]) / 2.0  # half the difference
-        q_any_z = float(np.dot(priors[i], 1.0 - static_z[i, :, COL_NONE]))
+        q_any_z = float(np.dot(priors[i], 1.0 - k_z[i]))
         # per burst and fringe parity
         pz = _class_key_probs(_Z_WEIGHTS, priors[i], static_z[i]) * duty_factor(
             q_any_z, slots

@@ -146,6 +146,7 @@ class TestValidation:
             ("run", "gap_bits"),
             ("protocol", "mu1"),
             ("security", "f_ec"),
+            ("channel", "alpha_db_per_km"),
         ],
     )
     def test_non_finite_number_is_refused_by_name(self, section, key, value):
@@ -166,6 +167,15 @@ class TestValidation:
         d = small_scenario().to_dict()
         d["run"][key] = 1.5
         with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("value", [20.0, True], ids=["float", "bool"])
+    def test_symbols_per_burst_must_be_an_integer(self, value):
+        # 20.0 loaded and then raised TypeError in both engines; True
+        # raised in the batch engine
+        d = small_scenario().to_dict()
+        d["protocol"]["symbols_per_burst"] = value
+        with pytest.raises(ConfigError, match="symbols_per_burst"):
             ScenarioConfig.from_dict(d)
 
     def test_bad_field_type_becomes_config_error(self):

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no module defines a private name that no module of the package reads,
-and every name the benchmark's tracer patches exists.
+"""Source hygiene: no module of the package imports a name it never uses
+or another module's private name, no module defines a private name that
+no module of the package reads, and every name the benchmark's tracer
+patches exists.
 
 __init__.py is exempt from the import check: its imports are the
 package's public names.
@@ -46,6 +47,28 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Names with a leading underscore (dunders aside) that the source's
+    from-imports take from another module, sorted."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    )
+
+
+def test_the_check_finds_private_imports():
+    source = "from __future__ import annotations\nfrom .a import _B, c, __d\n"
+    assert private_imports(source) == ["_B"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_is_imported(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:

@@ -42,10 +42,10 @@ from tbqkd.slotmodel import (
     burst_parity,
     class_index,
     fringe_block_bursts,
+    none_terms,
     servo_excluded,
     servo_starts,
     static_outcome,
-    x_none_terms,
 )
 
 from conftest import row_major_attribute_bins, row_major_outcome_probs, small_scenario
@@ -251,6 +251,21 @@ class TestDriftWalk:
             )
         ))
 
+    def test_only_the_walk_outlives_a_yield(self, scenario):
+        # the second chunk holds the reset at 43690, which pads the runs
+        # of its piece into rows
+        walks = pipeline._theta_walk(
+            scenario, servo_starts(scenario), np.random.default_rng(5)
+        )
+        next(walks)
+        walk = next(walks)
+        held = {
+            name for name, value in walks.gi_frame.f_locals.items()
+            if isinstance(value, np.ndarray)
+        }
+        assert held == {"walk", "resets"}
+        assert walks.gi_frame.f_locals["walk"] is walk
+
     @staticmethod
     def check_whole_run_walk(scenario):
         chunks = list(pipeline._theta_walk(
@@ -454,7 +469,7 @@ def per_slot_run(scenario):
     cum_priors = np.cumsum(model.priors)
     cum_priors[-1] = 1.0
     qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
-    kx, eta_b = x_none_terms(model.x_table)
+    kx, eta_b = none_terms(model.x_table)
 
     totals = np.zeros(COUNT_ROW, np.int64)
     sent = np.zeros((3, 2), np.int64)
@@ -593,21 +608,38 @@ class TestCandidateEvaluation:
         assert max(rows) == pipeline.ATTRIBUTION_ROWS
 
     def test_click_bounds_hold_at_every_phase(self, identity_scenario):
+        theta = np.linspace(0.0, 2.0 * math.pi, 2001)
+        cos_t = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.cos(theta)])
+        cls = np.repeat(np.arange(N_CLASSES), cos_t.size)
+        cos_t = np.tile(cos_t, N_CLASSES)
         for sc in (
             identity_scenario,
             load_preset("link-7db"),
             load_preset("link-14db"),
         ):
             model = build_link_model(sc)
-            qz_any = 1.0 - static_outcome(model.z_table)[:, COL_NONE]
-            kx, eta_b = x_none_terms(model.x_table)
-            z_bound, x_bounds = pipeline._click_bounds(qz_any, kx, eta_b)
-            assert (qz_any <= z_bound).all()
-            theta = np.linspace(0.0, 2.0 * math.pi, 2001)
-            cos_t = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.cos(theta)])
-            cls = np.repeat(np.arange(N_CLASSES), cos_t.size)
-            q_x = pipeline._x_click_prob(kx, eta_b, cls, np.tile(cos_t, N_CLASSES))
-            assert (q_x <= x_bounds[cls]).all()
+            for basis in Basis:
+                k, eta_b = none_terms(model.table(basis))
+                bounds = pipeline._click_bounds(k, eta_b)
+                # the expression of the engine's exact test
+                q = 1.0 - k[cls] * np.exp(-eta_b[cls] * cos_t)
+                assert (q <= bounds[cls]).all(), basis
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_preset("link-7db"), lambda: load_preset("link-14db"),
+         *IDENTITY_SCENARIOS.values()],
+        ids=["link-7db", "link-14db", *IDENTITY_SCENARIOS],
+    )
+    def test_direct_path_none_terms_equal_its_static_table(self, make):
+        # the engine's Z test reads 1 - K; the static table it replaced
+        # read 1 - P(none), so bit identity rests on this equality
+        table = build_link_model(make()).z_table
+        k, eta_b = none_terms(table)
+        assert not eta_b.any()
+        np.testing.assert_array_equal(
+            1.0 - k, 1.0 - static_outcome(table)[:, COL_NONE]
+        )
 
 
 class TestAttribution:

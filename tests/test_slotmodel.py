@@ -48,7 +48,7 @@ from tbqkd.slotmodel import (
     servo_excluded,
     servo_starts,
     static_outcome,
-    x_none_terms,
+    none_terms,
     x_segments,
 )
 from tbqkd import pipeline, slotmodel
@@ -344,7 +344,7 @@ class TestGateTables:
 class TestNoClickFactorization:
     def test_matches_outcome_probs_for_every_class(self):
         model = build_link_model(small_scenario())
-        k_fac, eta_b = x_none_terms(model.x_table)
+        k_fac, eta_b = none_terms(model.x_table)
         rng = np.random.default_rng(9)
         cos_t = rng.uniform(-1, 1, N_CLASSES)
         probs = outcome_probs(model.x_table, np.arange(N_CLASSES), cos_t)
@@ -353,7 +353,7 @@ class TestNoClickFactorization:
 
     def test_direct_path_has_no_fringe_dependence(self):
         model = build_link_model(small_scenario())
-        _, eta_b = x_none_terms(model.z_table)
+        _, eta_b = none_terms(model.z_table)
         np.testing.assert_allclose(eta_b, 0.0, atol=1e-15)
 
 
