@@ -58,7 +58,6 @@ from .optimize import (
     expected_keyrate,
     expected_tally_counts,
     optimize_params,
-    write_grid_csv,
 )
 from .pipeline import (
     RunOutcome,
@@ -87,15 +86,12 @@ from .protocol import (
     tau_n,
 )
 from .sift import (
-    EXPORT_KEYS,
     TALLY_KEYS,
     SiftResult,
     TallyCounts,
     qber_x,
     qber_z,
-    read_tally_csv,
     sift,
-    write_tally_csv,
 )
 from .slotmodel import (
     ExpectedTallies,

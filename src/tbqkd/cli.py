@@ -1,5 +1,8 @@
 """Command-line entry point: pattern, simulate, sweep, optimize.
 
+The one module that knows the output formats: pattern.csv, tallies.csv,
+report.json, sweep.csv, grid.csv and best.json.
+
 Exit codes: 0 success, 2 configuration error (machine-readable JSON on
 stderr), 3 degenerate statistics (outputs still written, skl = 0).
 """
@@ -7,9 +10,11 @@ stderr), 3 degenerate statistics (outputs still written, skl = 0).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import NoReturn
 
@@ -26,11 +31,11 @@ from .config import (
 )
 from .errors import TbqkdError
 from .keyrate import KeyRateReport
-from .optimize import GridSpec, optimize_params, write_grid_csv
+from .optimize import GridPoint, GridSpec, optimize_params
 from .pipeline import RunOutcome, simulate_and_analyze
 from .ppg import pattern_timeline
 from .protocol import State
-from .sift import write_tally_csv
+from .sift import TALLY_KEYS
 
 #: Nominal transmitter slot rate the per-clock-slot yield divides by.
 CLOCK_SLOT_RATE_HZ = 200e6
@@ -41,6 +46,29 @@ YIELD_NOTE = (
     "slot rate. The denominators differ by the burst duty cycle, so "
     "both are reported."
 )
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload: dict[str, object]) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _report_dict(report: KeyRateReport) -> dict[str, object]:
+    """The report object of report.json and best.json: KeyRateReport's
+    fields in order, yield_ as "yield", q_x and degenerate left to meta."""
+    return {
+        f.name.rstrip("_"): getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in ("q_x", "degenerate")
+    }
 
 
 def _fail_config(message: str) -> NoReturn:
@@ -123,7 +151,7 @@ def _report_payload(
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "report": report.to_json_dict(),
+        "report": _report_dict(report),
         "meta": meta,
     }
 
@@ -131,9 +159,10 @@ def _report_payload(
 def _write_outputs(
     out: Path, outcome: RunOutcome, report: KeyRateReport, cfg: ScenarioConfig
 ) -> None:
-    write_tally_csv(out / "tallies.csv", [outcome.tallies])
-    payload = _report_payload(outcome, report, cfg)
-    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    header = TALLY_KEYS + ("elapsed_s",)
+    row = [getattr(outcome.tallies, k) for k in header]
+    _write_csv(out / "tallies.csv", header, [row])
+    _write_json(out / "report.json", _report_payload(outcome, report, cfg))
 
 
 config_option = click.option(
@@ -193,14 +222,15 @@ def pattern(
     except TbqkdError as exc:
         _fail_config(str(exc))
     out_path = _out_dir(out, cfg) / "pattern.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["burst", "slot", "bin", "start_ps", "width_ps"])
-        for p in pulses:
-            writer.writerow(
-                [p.burst_index, p.slot_index, p.bin_label.name.lower(),
-                 p.start_ps, p.width_ps]
-            )
+    _write_csv(
+        out_path,
+        ["burst", "slot", "bin", "start_ps", "width_ps"],
+        [
+            [p.burst_index, p.slot_index, p.bin_label.name.lower(),
+             p.start_ps, p.width_ps]
+            for p in pulses
+        ],
+    )
     click.echo(f"wrote {out_path} ({len(pulses)} pulses)")
 
 
@@ -271,21 +301,10 @@ def sweep(
         point = _apply_overrides(cfg, None, None, loss)
         outcome, report = _run(point, engine)
         any_degenerate = any_degenerate or report.degenerate
-        rows.append(
-            {
-                "loss_db": loss,
-                "q_z": report.q_z,
-                "phi_z": report.phi_z_upper,
-                "skr": report.skr,
-                "yield": report.yield_,
-            }
-        )
+        rows.append([loss, report.q_z, report.phi_z_upper, report.skr, report.yield_])
         click.echo(f"loss_db={loss:g} q_z={report.q_z:.6f} skr={report.skr:.3f}")
     out_path = _out_dir(out, cfg) / "sweep.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["loss_db", "q_z", "phi_z", "skr", "yield"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out_path, ["loss_db", "q_z", "phi_z", "skr", "yield"], rows)
     click.echo(f"wrote {out_path} ({len(rows)} points)")
     if any_degenerate:
         click.echo("degenerate statistics at one or more points", err=True)
@@ -337,7 +356,11 @@ def optimize(
     except TbqkdError as exc:
         _fail_config(str(exc))
     out_root = _out_dir(out, cfg)
-    write_grid_csv(result.points, out_root / "grid.csv")
+    _write_csv(
+        out_root / "grid.csv",
+        [f.name for f in dataclasses.fields(GridPoint)],
+        map(dataclasses.astuple, result.points),
+    )
     best = {
         "schema_version": SCHEMA_VERSION,
         "best": {
@@ -347,9 +370,9 @@ def optimize(
             "p_z": result.best.p_z,
             "skl": result.best_skl,
         },
-        "report": result.best_report.to_json_dict(),
+        "report": _report_dict(result.best_report),
     }
-    (out_root / "best.json").write_text(json.dumps(best, indent=2) + "\n")
+    _write_json(out_root / "best.json", best)
     click.echo(
         f"best mu1={result.best.mu1:g} mu2={result.best.mu2:g} "
         f"p_mu1={result.best.p_mu1:g} p_z={result.best.p_z:g} skl={result.best_skl}"

@@ -213,7 +213,8 @@ def secret_key_length(
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Final per-block analysis. yield_ serializes as "yield"."""
+    """Final per-block analysis. report.json's report object holds its
+    fields in order, yield_ as "yield", up to the diagnostics below."""
 
     s_z0_lower: float
     s_z1_lower: float
@@ -229,21 +230,6 @@ class KeyRateReport:
     # diagnostics that report.json carries in its meta
     q_x: float = 0.0
     degenerate: bool = False
-
-    def to_json_dict(self) -> dict[str, float]:
-        return {
-            "s_z0_lower": self.s_z0_lower,
-            "s_z1_lower": self.s_z1_lower,
-            "phi_z_upper": self.phi_z_upper,
-            "q_z": self.q_z,
-            "lambda_ec": self.lambda_ec,
-            "skl": self.skl,
-            "skr": self.skr,
-            "yield": self.yield_,
-            "s_x1_lower": self.s_x1_lower,
-            "v_x1_upper": self.v_x1_upper,
-            "s_z0_upper": self.s_z0_upper,
-        }
 
 
 def keyrate(

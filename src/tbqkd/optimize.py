@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import ScenarioConfig
-from .errors import EmptyGridError
+from .errors import DomainError, EmptyGridError
 from .keyrate import KeyRateReport, keyrate
 from .protocol import ProtocolParams
 from .sift import TALLY_KEYS, TALLY_PAIRS, TallyCounts
@@ -21,13 +19,11 @@ from .slotmodel import (
     grouped_expected_tallies,
 )
 
-GRID_CSV_FIELDS = ("mu1", "mu2", "p_mu1", "p_z", "skl")
-
 
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate values per source parameter; the search is the full
-    cartesian product, skipping combinations that violate mu2 < mu1."""
+    cartesian product, skipping the combinations ProtocolParams refuses."""
 
     mu1: Sequence[float]
     mu2: Sequence[float]
@@ -46,9 +42,6 @@ class GridPoint:
     p_mu1: float
     p_z: float
     skl: int
-
-    def row(self) -> dict[str, float | int]:
-        return {k: getattr(self, k) for k in GRID_CSV_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -96,13 +89,15 @@ def optimize_params(scenario: ScenarioConfig, grid: GridSpec) -> GridResult:
     grouped_expected_tallies pass; each point's result is that of its
     own expected_keyrate.
     """
-    candidates = [
-        scenario.replace(params=dataclasses.replace(
-            scenario.params, mu1=mu1, mu2=mu2, p_mu1=p_mu1, p_z=p_z
-        ))
-        for mu1, mu2, p_mu1, p_z in itertools.product(*grid.axes())
-        if 0.0 < mu2 < mu1 and 0.0 < p_mu1 < 1.0 and 0.0 < p_z < 1.0
-    ]
+    candidates = []
+    for mu1, mu2, p_mu1, p_z in itertools.product(*grid.axes()):
+        try:
+            params = dataclasses.replace(
+                scenario.params, mu1=mu1, mu2=mu2, p_mu1=p_mu1, p_z=p_z
+            )
+        except DomainError:
+            continue
+        candidates.append(scenario.replace(params=params))
     if not candidates:
         raise EmptyGridError("grid contains no valid parameter combination")
     groups: dict[int, list[int]] = {}
@@ -125,11 +120,3 @@ def optimize_params(scenario: ScenarioConfig, grid: GridSpec) -> GridResult:
             for i, p in enumerate(params)
         ),
     )
-
-
-def write_grid_csv(points: Iterable[GridPoint], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=GRID_CSV_FIELDS)
-        writer.writeheader()
-        for p in points:
-            writer.writerow(p.row())

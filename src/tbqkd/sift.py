@@ -16,10 +16,8 @@ expected tallies all count through it.
 
 from __future__ import annotations
 
-import csv
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +39,6 @@ TALLY_KEYS = (
 )
 # (n, m) index pairs of TALLY_KEYS, one per basis and intensity
 TALLY_PAIRS = tuple((4 * b + k, 4 * b + k + 2) for b in range(2) for k in range(2))
-EXPORT_KEYS = TALLY_KEYS + ("elapsed_s",)
 
 _ZERO_SENT = ((0, 0), (0, 0), (0, 0))
 
@@ -179,30 +176,6 @@ class TallyCounts:
     @property
     def symbols_sent(self) -> int:
         return sum(v for row in self.sent_counts for v in row)
-
-    def to_export_dict(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in EXPORT_KEYS}
-
-    @classmethod
-    def from_export_dict(cls, d: dict[str, float]) -> "TallyCounts":
-        missing = [k for k in EXPORT_KEYS if k not in d]
-        if missing:
-            raise DomainError(f"tally record is missing keys: {missing}")
-        kwargs = {k: int(d[k]) for k in TALLY_KEYS}
-        return cls(elapsed_s=float(d["elapsed_s"]), **kwargs)
-
-
-def write_tally_csv(path: str | Path, tallies: Iterable[TallyCounts]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=EXPORT_KEYS)
-        writer.writeheader()
-        for t in tallies:
-            writer.writerow(t.to_export_dict())
-
-
-def read_tally_csv(path: str | Path) -> list[TallyCounts]:
-    with open(path, newline="") as fh:
-        return [TallyCounts.from_export_dict(row) for row in csv.DictReader(fh)]
 
 
 @dataclass(frozen=True)

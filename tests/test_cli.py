@@ -19,15 +19,22 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from tbqkd import DetectorModel, __version__
+from tbqkd import (
+    DetectorModel,
+    GridSpec,
+    __version__,
+    optimize_params,
+    simulate_and_analyze,
+)
 from tbqkd.cli import main
 from tbqkd.config import ScenarioConfig, load_scenario, save_scenario
 from tbqkd.protocol import ProtocolParams
-from tbqkd.sift import read_tally_csv
+from tbqkd.sift import TALLY_KEYS
 
 from conftest import small_scenario
 
-REPORT_KEYS = {
+# the report object of report.json and best.json, in file order
+REPORT_KEYS = [
     "s_z0_lower",
     "s_z1_lower",
     "phi_z_upper",
@@ -39,7 +46,7 @@ REPORT_KEYS = {
     "s_x1_lower",
     "v_x1_upper",
     "s_z0_upper",
-}
+]
 
 
 def cli_scenario() -> ScenarioConfig:
@@ -80,6 +87,12 @@ def config_error(result) -> str:
 def read_rows(path: Path) -> list[dict[str, str]]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_tally(path: Path) -> dict[str, float]:
+    """The one row of a tallies.csv, its counts as ints."""
+    (row,) = read_rows(path)
+    return {k: float(v) if k == "elapsed_s" else int(v) for k, v in row.items()}
 
 
 class TestPattern:
@@ -153,7 +166,7 @@ class TestSimulate:
 
         payload = json.loads((out / "report.json").read_text())
         assert payload["schema_version"] == 1
-        assert set(payload["report"]) == REPORT_KEYS
+        assert list(payload["report"]) == REPORT_KEYS
         meta = payload["meta"]
         assert meta["seed"] == 11
         assert meta["duration_s"] == 2.0
@@ -169,9 +182,19 @@ class TestSimulate:
         ):
             assert meta[key] >= 0
 
-        (tally,) = read_tally_csv(out / "tallies.csv")
-        assert tally.n_z_mu1 > 0
-        assert tally.elapsed_s == pytest.approx(meta["elapsed_s"])
+        tally = read_tally(out / "tallies.csv")
+        assert tally["n_z_mu1"] > 0
+        assert tally["elapsed_s"] == pytest.approx(meta["elapsed_s"])
+
+    def test_tallies_csv_holds_the_run_tallies(self, runner, cfg_path, tmp_path):
+        args = ["simulate", "--config", cfg_path, "--out", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "tallies.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == [*TALLY_KEYS, "elapsed_s"]
+        tallies = simulate_and_analyze(load_scenario(cfg_path))[0].tallies
+        assert row == [str(getattr(tallies, k)) for k in header]
 
     def test_reruns_are_byte_identical(self, runner, cfg_path, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -238,7 +261,7 @@ class TestSimulate:
                  "--out", str(out)],
             )
             assert result.exit_code == 0, result.output
-            tallies[seed] = read_tally_csv(out / "tallies.csv")[0]
+            tallies[seed] = read_tally(out / "tallies.csv")
         assert tallies[11] != tallies[12]
 
     def test_loss_override_suppresses_counts(self, runner, cfg_path, tmp_path):
@@ -253,8 +276,8 @@ class TestSimulate:
             # The 20 dB point has too few X clicks for a positive decoy
             # bound, so exit 3 is legitimate; tallies are written anyway.
             assert result.exit_code in (0, 3), result.output
-            tally = read_tally_csv(out / "tallies.csv")[0]
-            counts[loss] = tally.n_z_mu1 + tally.n_z_mu2
+            tally = read_tally(out / "tallies.csv")
+            counts[loss] = tally["n_z_mu1"] + tally["n_z_mu2"]
         assert counts[20.0] < counts[3.0] / 10
 
     def test_config_and_preset_conflict(self, runner, cfg_path):
@@ -348,8 +371,7 @@ class TestSimulate:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["skl"] == 0
         assert payload["meta"]["degenerate"] is True
-        (tally,) = read_tally_csv(out / "tallies.csv")
-        assert tally.n_z_mu1 == 0
+        assert read_tally(out / "tallies.csv")["n_z_mu1"] == 0
 
     def test_unknown_engine_is_a_usage_error(self, runner, cfg_path):
         result = runner.invoke(
@@ -404,10 +426,29 @@ class TestOptimize:
 
         best = json.loads((out / "best.json").read_text())
         assert best["schema_version"] == 1
-        assert set(best["report"]) == REPORT_KEYS
+        assert list(best["report"]) == REPORT_KEYS
         assert best["best"]["mu1"] == 0.5
         assert best["best"]["mu2"] in (0.15, 0.19)
         assert best["best"]["skl"] == max(int(float(r["skl"])) for r in rows)
+
+    def test_grid_csv_holds_every_point(self, runner, cfg_path, tmp_path):
+        args = ["optimize", "--config", cfg_path, "--mu2", "0.15,0.19"]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["mu1", "mu2", "p_mu1", "p_z", "skl"]
+        grid = GridSpec(mu1=[0.5], mu2=[0.15, 0.19], p_mu1=[0.63], p_z=[0.5])
+        points = optimize_params(load_scenario(cfg_path), grid).points
+        assert rows == [[str(getattr(p, k)) for k in header] for p in points]
+
+    def test_refused_points_are_skipped(self, runner, tmp_path):
+        # ProtocolParams refuses an infinite mu1; the mu1 = 0.5 points run
+        args = ["optimize", "--preset", "link-14db", "--duration", "5", "--mu1"]
+        result = runner.invoke(main, [*args, "0.5,inf", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "grid.csv")
+        assert [float(r["mu1"]) for r in rows] == [0.5]
 
     def test_axes_default_to_the_config_point(self, runner, cfg_path, tmp_path):
         out = tmp_path / "opt"
@@ -424,3 +465,15 @@ class TestOptimize:
             main, ["optimize", "--config", cfg_path, "--mu1", "x"]
         )
         assert "--mu1" in config_error(result)
+
+
+def test_report_objects_keep_their_key_order(runner, cfg_path, tmp_path):
+    for command in ("simulate", "optimize"):
+        args = [command, "--config", cfg_path, "--out", str(tmp_path)]
+        assert runner.invoke(main, args).exit_code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    best = json.loads((tmp_path / "best.json").read_text())
+    assert list(report) == ["schema_version", "report", "meta"]
+    assert list(best) == ["schema_version", "best", "report"]
+    assert list(best["best"]) == ["mu1", "mu2", "p_mu1", "p_z", "skl"]
+    assert list(report["report"]) == list(best["report"]) == REPORT_KEYS

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
 or another module's private name, no module defines a private name that
-no module of the package reads, and every name the benchmark's tracer
-patches exists.
+no module of the package reads, only the command line reads or writes
+CSV or JSON, and every name the benchmark's tracer patches exists.
 
 __init__.py is exempt from the import check: its imports are the
 package's public names.
@@ -113,6 +113,34 @@ def test_the_check_finds_unread_private_names():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def imported_modules(source: str) -> list[str]:
+    """Top-level names of the modules the source's absolute imports
+    load, sorted."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return sorted(modules)
+
+
+def test_the_check_finds_imported_modules():
+    source = (
+        "from __future__ import annotations\nimport os.path, csv as c\n"
+        "from json import dumps\nfrom . import sift\nfrom .keyrate import x\n"
+    )
+    assert imported_modules(source) == ["__future__", "csv", "json", "os"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_only_the_cli_knows_file_formats(module):
+    # cli writes every output file; config keeps yaml for the scenario
+    # schema's round trip
+    found = set(imported_modules((PACKAGE / module).read_text()))
+    assert found.isdisjoint({"csv", "json"}), module
 
 
 def tracer_paths() -> list[str]:

@@ -375,14 +375,6 @@ class TestBoundProperties:
 
 
 class TestReportSerialization:
-    def test_json_dict_key_set(self):
-        rep = keyrate(FROZEN, PARAMS, SEC)
-        assert set(rep.to_json_dict()) == {
-            "s_z0_lower", "s_z1_lower", "phi_z_upper", "q_z",
-            "lambda_ec", "skl", "skr", "yield",
-            "s_x1_lower", "v_x1_upper", "s_z0_upper",
-        }
-
     def test_all_error_x_tally_reports_q_x_one(self):
         # every X click fell in a fringe-minimum block
         t = TallyCounts(n_x_mu1=3, m_x_mu1=3, n_z_mu1=10, elapsed_s=1.0)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from tbqkd.optimize import (
     expected_keyrate,
     expected_tally_counts,
     optimize_params,
-    write_grid_csv,
 )
 from tbqkd.slotmodel import (
     ExpectedTallies,
@@ -75,6 +74,15 @@ class TestGridSearch:
         grid = GridSpec(mu1=[0.5], mu2=[0.19, 0.7], p_mu1=[0.63], p_z=[0.9])
         result = optimize_params(sc, grid)
         assert [p.mu2 for p in result.points] == [0.19]
+
+    def test_points_protocol_params_refuses_are_skipped(self):
+        # an infinite mu1 passes 0 < mu2 < mu1, but ProtocolParams
+        # refuses it; the finite points still run
+        sc = small_scenario(duration=1.0)
+        grid = GridSpec(mu1=[0.5, math.inf], mu2=[0.19], p_mu1=[0.63], p_z=[0.9])
+        result = optimize_params(sc, grid)
+        assert [p.mu1 for p in result.points] == [0.5]
+        assert result.best.mu1 == 0.5
 
     def test_empty_grid(self):
         sc = small_scenario(duration=1.0)
@@ -295,18 +303,3 @@ class TestReferenceLinkOptimum:
     def test_full_grid_is_reported(self, result):
         assert [p.mu2 for p in result.points] == [0.10, 0.15, 0.19, 0.26]
         assert all(p.skl >= 0 for p in result.points)
-
-
-class TestGridCsv:
-    def test_round_trip_rows(self, tmp_path):
-        sc = small_scenario(duration=0.5)
-        grid = GridSpec(mu1=[0.5], mu2=[0.15, 0.19], p_mu1=[0.63], p_z=[0.9])
-        result = optimize_params(sc, grid)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(result.points, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert rows[0].keys() == {"mu1", "mu2", "p_mu1", "p_z", "skl"}
-        assert [float(r["mu2"]) for r in rows] == [0.15, 0.19]
-        assert all(int(r["skl"]) >= 0 for r in rows)

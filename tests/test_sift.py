@@ -15,9 +15,7 @@ from tbqkd import (
     TallyCounts,
     qber_x,
     qber_z,
-    read_tally_csv,
     sift,
-    write_tally_csv,
 )
 from tbqkd.errors import DomainError, EmptyTallyError, UnmatchedEventError
 from tbqkd.sift import (
@@ -304,16 +302,3 @@ class TestTallyCounts:
         t = TallyCounts(n_z_mu1=5, n_z_mu2=3, n_x_mu1=2, n_x_mu2=1, m_x_mu1=1)
         assert t.n_z == 8 and t.n_x == 3
         assert t.m_z == 0 and t.m_x == 1
-
-    def test_csv_round_trip(self, tmp_path):
-        tallies = [
-            TallyCounts(n_z_mu1=10, m_z_mu1=1, elapsed_s=2.5),
-            TallyCounts(n_x_mu2=7, m_x_mu2=3, elapsed_s=0.25),
-        ]
-        path = tmp_path / "tallies.csv"
-        write_tally_csv(path, tallies)
-        loaded = read_tally_csv(path)
-        for orig, back in zip(tallies, loaded):
-            for k in TALLY_KEYS:
-                assert getattr(orig, k) == getattr(back, k)
-            assert back.elapsed_s == orig.elapsed_s
